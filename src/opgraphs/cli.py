@@ -14,8 +14,8 @@ import os
 import sys
 import time
 
-from .autgroup import automorphism_group
-from .constructions import induced_subgroup
+from .autgroup import BudgetExceededError, automorphism_group
+from .constructions import ConstructionError, induced_subgroup
 from .counterexamples import (SearchBudgetError, census_certificates,
                               find_rank_only_pair, verify_certificate)
 from .graphs import LabeledGraph, johnson_graph, petersen_graph
@@ -82,17 +82,13 @@ def _resolve(args):
     sigma_tokens = _tokens(pick("sigma"))
     dims = [int(t) for t in _tokens(pick("dims"))]
     seed = int(pick("seed"))
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = int(os.environ.get("OPGRAPHS_WORKERS", "1"))
     config = {
         "backend": field.descriptor(),
         "sigma": sigma_tokens,
         "dims": dims,
         "seed": seed,
-        "workers": workers,
     }
-    return field, sigma_tokens, dims, seed, workers, config
+    return field, sigma_tokens, dims, seed, config
 
 
 def _signature(field, sigma_tokens, dims):
@@ -103,7 +99,17 @@ def _signature(field, sigma_tokens, dims):
         raise CliError(str(e)) from None
 
 
-def _class_graph(sig, workers):
+def _check_slots(sig, *slots):
+    """Given slot indices must be in range and distinct."""
+    given = [s for s in slots if s is not None]
+    for s in given:
+        if not 0 <= s < sig.k:
+            raise CliError(f"slot index {s} out of range 0..{sig.k - 1}")
+    if len(set(given)) != len(given):
+        raise CliError(f"slot indices must be distinct, got {given}")
+
+
+def _class_graph(sig):
     flags = enumerate_class(sig)
     return LabeledGraph.build(sig, flags)
 
@@ -113,7 +119,7 @@ def _class_graph(sig, workers):
 
 
 def cmd_enumerate(args):
-    field, sigma_tokens, dims, seed, workers, config = _resolve(args)
+    field, sigma_tokens, dims, seed, config = _resolve(args)
     sig = _signature(field, sigma_tokens, dims)
     try:
         flags = enumerate_class(sig)
@@ -156,10 +162,17 @@ def cmd_adjacency(args):
 
 
 def cmd_components(args):
-    field, sigma_tokens, dims, seed, workers, config = _resolve(args)
+    field, sigma_tokens, dims, seed, config = _resolve(args)
     sig = _signature(field, sigma_tokens, dims)
+    if args.type == "ij":
+        i = 1 if args.i is None else args.i
+        j = 2 if args.j is None else args.j
+        _check_slots(sig, i, j)
+    elif args.type == "ibar":
+        i = 2 if args.i is None else args.i
+        _check_slots(sig, i)
     try:
-        graph = _class_graph(sig, workers)
+        graph = _class_graph(sig)
     except ValueError as e:
         raise CliError(str(e)) from None
     config["type"] = args.type
@@ -174,8 +187,6 @@ def cmd_components(args):
         if not results["connected"]:
             code = EXIT_DIVERGENCE
     elif args.type == "ij":
-        i = 1 if args.i is None else args.i
-        j = 2 if args.j is None else args.j
         config["slots"] = [i, j]
         comps = graph.ij_components(i, j)
         fibers = graph.fiber_partition(i, j)
@@ -195,7 +206,6 @@ def cmd_components(args):
         if not (contained and results["components_equal_fibers"]):
             code = EXIT_DIVERGENCE
     else:  # ibar
-        i = 2 if args.i is None else args.i
         config["slot"] = i
         comps = graph.avoiding_components(i)
         blocks = tuple(sorted(graph.eigenspace_blocks(i).values()))
@@ -243,10 +253,10 @@ def cmd_automorphisms(args):
                 fh.write(adjacency_to_dot(g.adjlist, g.labels))
         return config, results, code
 
-    field, sigma_tokens, dims, seed, workers, config = _resolve(args)
+    field, sigma_tokens, dims, seed, config = _resolve(args)
     sig = _signature(field, sigma_tokens, dims)
     try:
-        graph = _class_graph(sig, workers)
+        graph = _class_graph(sig)
     except ValueError as e:
         raise CliError(str(e)) from None
     results = {"vertex_count": graph.n, "edge_count": len(graph.edges)}
@@ -274,14 +284,14 @@ def cmd_automorphisms(args):
 
 
 def cmd_verify_lemma(args):
-    field, sigma_tokens, dims, seed, workers, config = _resolve(args)
+    field, sigma_tokens, dims, seed, config = _resolve(args)
     config["lemma"] = args.lemma
     if args.lemma == "a1a2-equiv":
         sig = _signature(field, sigma_tokens, dims)
-        results = verify_move_equivalence(
-            sig, samples=args.samples, seed=seed, workers=workers)
+        results = verify_move_equivalence(sig, samples=args.samples, seed=seed)
     elif args.lemma == "lift":
         sig = _signature(field, sigma_tokens, dims)
+        _check_slots(sig, args.i, args.j)
         results = verify_fiber_lift(sig, args.i, args.j)
     elif args.lemma == "swap":
         explicit = args.sigma is not None
@@ -304,17 +314,19 @@ def cmd_verify_lemma(args):
 
 
 def cmd_counterexample(args):
-    field, sigma_tokens, dims, seed, workers, config = _resolve(args)
+    field, sigma_tokens, dims, seed, config = _resolve(args)
     sig = _signature(field, sigma_tokens, dims)
     if sig.k < 3:
         raise CliError(
             "a rank-two difference with two eigenvalues always has "
             "invariant image and kernel; no counterexample can exist")
+    if args.limit < 0:
+        raise CliError(f"--limit must be non-negative, got {args.limit}")
     config["budget"] = args.budget
     config["limit"] = args.limit
     if field.is_finite:
         flags = enumerate_class(sig)
-        census = classify_pairs(flags, workers=workers)
+        census = classify_pairs(flags)
         results = {
             "mode": "exhaustive",
             "total_pairs": census.total,
@@ -368,9 +380,6 @@ def _add_common(sub):
     sub.add_argument("--dims", help="comma list of eigenspace dimensions")
     sub.add_argument("--fixture", help="config JSON supplying defaults")
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--workers", type=int,
-                     help="census thread pool size (default "
-                          "$OPGRAPHS_WORKERS or 1)")
     sub.add_argument("--out", help="also write the report here")
 
 
@@ -439,7 +448,8 @@ def main(argv=None):
     start = time.time()
     try:
         config, results, code = args.run(args)
-    except CliError as e:
+    except (CliError, StarFieldError, BudgetExceededError, ConstructionError,
+            OSError) as e:
         report = build_report(args.command, {}, {"error": str(e)},
                               time.time() - start)
         sys.stdout.write(write_report(report, getattr(args, "out", None)))

@@ -11,7 +11,7 @@ one-sided path obstruction.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from .autgroup import StabChain, is_automorphism
 from .linalg import Matrix, Subspace, herm_form, relative_orthocomplement
@@ -29,39 +29,37 @@ def is_isometry(field, M: Matrix) -> bool:
 
 
 def _norm_one_vectors(field, n):
-    out = []
-    for v in product(field.elements(), repeat=n):
-        if herm_form(field, v, v) == field.one:
-            out.append(v)
+    """Vectors v with h(v, v) = 1, in lexicographic order."""
+    return [v for v in product(field.elements(), repeat=n)
+            if herm_form(field, v, v) == field.one]
+
+
+def unitary_order(q, n):
+    """|U(n,q)| = q^(n(n-1)/2) * prod_{i=1..n} (q^i - (-1)^i)  (Taylor 1992)."""
+    out = q ** (n * (n - 1) // 2)
+    for i in range(1, n + 1):
+        out *= q ** i - (-1) ** i
     return out
 
 
-@lru_cache(maxsize=None)
-def _unitary_group_cached(p, e, n):
-    from .starfield import galois_field
-
-    field = galois_field(p, e)
-    vectors = _norm_one_vectors(field, n)
-    group = []
-
-    def extend(cols):
-        if len(cols) == n:
-            rows = tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
-            group.append(Matrix(field, rows))
-            return
-        for v in vectors:
-            if all(herm_form(field, v, c) == field.zero for c in cols):
-                extend(cols + (v,))
-
-    extend(())
-    return tuple(group)
-
-
 def unitary_group(field, n):
-    """All isometries of the standard form on field^n, built column by column."""
+    """All isometries of the standard form on field^n, lazily in row order.
+
+    Rows grow depth-first over the norm-one vectors, each new row
+    orthogonal to the earlier ones.
+    """
     if not field.is_finite:
         raise ConstructionError("isometry enumeration needs a finite star-field")
-    return _unitary_group_cached(field.p, field.e, n)
+
+    def grow(rows, candidates):
+        if len(rows) == n:
+            yield Matrix(field, rows)
+            return
+        for v in candidates:
+            yield from grow(rows + (v,), [
+                c for c in candidates if herm_form(field, c, v) == field.zero])
+
+    return grow((), _norm_one_vectors(field, n))
 
 
 @lru_cache(maxsize=None)
@@ -69,40 +67,26 @@ def _unitary_generators_cached(p, e, n):
     from .starfield import galois_field
 
     field = galois_field(p, e)
-    group = _unitary_group_cached(p, e, n)
-    target = len(group)
-    ordered = sorted(group, key=lambda M: M.rows)
-    ident = Matrix.identity(field, n)
-
-    def closure_size(gens):
-        seen = {ident.rows}
-        frontier = [ident]
-        while frontier:
-            M = frontier.pop()
-            for G in gens:
-                P = G @ M
-                if P.rows not in seen:
-                    seen.add(P.rows)
-                    frontier.append(P)
-            if len(seen) == target:
-                return target
-        return len(seen)
-
+    # the norm-one vectors include the standard basis, so the action on
+    # them is faithful
+    points = _norm_one_vectors(field, n)
+    index = {v: i for i, v in enumerate(points)}
+    chain = StabChain(len(points))
+    target = unitary_order(field.q, n)
     gens = []
-    have = 1
-    for M in ordered:
-        if have == target:
-            break
-        size = closure_size(gens + [M])
-        if size > have:
+    for M in unitary_group(field, n):
+        if chain.add(tuple(index[tuple(M.apply(v))] for v in points)):
             gens.append(M)
-            have = size
-    return tuple(gens)
+            if chain.order() == target:
+                return tuple(gens)
+    raise ConstructionError(
+        f"isometries generate order {chain.order()}, expected {target}")
 
 
 def unitary_generators(field, n):
-    """A small deterministic generating set: greedy closure over the
-    isometries in row order."""
+    """A small deterministic generating set: the isometries in row order
+    that enlarge the group generated so far, certified against
+    |U(n,q)|."""
     if not field.is_finite:
         raise ConstructionError("isometry enumeration needs a finite star-field")
     return _unitary_generators_cached(field.p, field.e, n)

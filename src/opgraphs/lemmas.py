@@ -91,14 +91,14 @@ def _rotated_pair_flag(sig, base, i, j, rng=None):
 # adjacency has two equivalent readings
 
 
-def verify_move_equivalence(sig, samples=40, seed=0, workers=1):
+def verify_move_equivalence(sig, samples=40, seed=0):
     """Rank-two-with-invariance versus two-slot move, on every pair of a
     finite class or on seeded samples over the rationals."""
     report = {"lemma": "a1a2-equiv", "field": sig.field.descriptor(),
               "signature": sig.to_json()}
     if sig.field.is_finite:
         flags = enumerate_class(sig)
-        census = classify_pairs(flags, workers=workers)
+        census = classify_pairs(flags)
         report.update({
             "mode": "exhaustive",
             "pairs": census.total,

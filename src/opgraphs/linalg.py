@@ -452,9 +452,6 @@ class Subspace:
         bconj = Matrix(f, [[conj(x) for x in row] for row in self.rows])
         return bt @ ginv @ bconj
 
-    def basis_matrix(self):
-        return Matrix(self.field, self.rows)
-
     def coordinates_of(self, v):
         """Coefficients c with sum c_r basis_r = v, or None if v outside."""
         f = self.field

@@ -1,4 +1,4 @@
-"""Seeded random flags, subspaces, and vectors.
+"""Seeded random flags, orthogonal bases, and vectors.
 
 Over the rational backend orthogonalization always succeeds (the form is
 positive definite there); over finite backends isotropic vectors force
@@ -62,11 +62,6 @@ def random_orthogonal_basis(field, n, rng, height=4):
         basis = orthogonalize(field, M.rows)
         if basis is not None:
             return basis
-
-
-def random_nondegenerate_subspace(field, ambient, k, rng, height=4):
-    basis = random_orthogonal_basis(field, ambient, rng, height)
-    return Subspace(field, ambient, basis[:k])
 
 
 def random_flag(sig, rng, height=4):

@@ -195,10 +195,6 @@ class EigenFlag:
         return f"EigenFlag{self.spaces!r}"
 
 
-def assemble_matrix(flag: EigenFlag) -> Matrix:
-    return flag.matrix()
-
-
 def coordinate_flag(sig: ClassSignature) -> EigenFlag:
     """The flag whose slots are consecutive standard-basis slices."""
     f = sig.field
@@ -395,13 +391,11 @@ def _census_row(f, flags, mats, u):
     return rank_other, adjacent_count, rank_only, edges, mismatches
 
 
-def classify_pairs(flags, workers=1) -> PairCensus:
+def classify_pairs(flags) -> PairCensus:
     """Compare the condition-based and geometric adjacency on all pairs.
 
     Every pair gets both verdicts computed independently; a disagreement
     lands in `mismatches` (none are expected, the tests assert so).
-    Leading indices can spread over a thread pool; the merge runs in
-    index order, so the census never depends on the worker count.
     """
     flags = list(flags)
     n = len(flags)
@@ -409,14 +403,7 @@ def classify_pairs(flags, workers=1) -> PairCensus:
         return PairCensus(0, 0, 0, [], [], [])
     f = flags[0].signature.field
     mats = [fl.matrix().rows for fl in flags]
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(
-                pool.map(lambda u: _census_row(f, flags, mats, u), range(n)))
-    else:
-        partials = [_census_row(f, flags, mats, u) for u in range(n)]
+    partials = [_census_row(f, flags, mats, u) for u in range(n)]
     return PairCensus(
         n * (n - 1) // 2,
         sum(p[0] for p in partials),

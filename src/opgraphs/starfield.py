@@ -285,7 +285,6 @@ class GaloisStarField:
             inv[a] = mul[a].index(1)
         self.INV = inv
         self.CONJ = [self._pow(a, self.q) for a in range(n)]
-        self.FROB = [self._pow(a, p) for a in range(n)]
         self._fixed = tuple(a for a in range(n) if self.CONJ[a] == a)
 
     def _pow(self, a, k):

@@ -132,6 +132,17 @@ def test_automorphisms_johnson(capsys):
     assert rep["results"]["automorphism_order"] == "120"
 
 
+def test_automorphisms_compare_induced_on_flagship(capsys):
+    code, rep = run(capsys, "automorphisms", "--fixture",
+                    str(FIXTURES / "flagship.json"), "--compare-induced")
+    assert code == 0
+    res = rep["results"]
+    assert res["induced_order"] == "72576"
+    assert res["induced_generator_count"] == 10
+    assert res["index_of_induced"] == 1
+    assert res["induced_equals_full"] is True
+
+
 def test_verify_lemma_a1a2_equiv(capsys):
     code, rep = run(capsys, "verify-lemma", "--lemma", "a1a2-equiv")
     assert code == 0
@@ -234,14 +245,23 @@ def test_out_writes_the_same_report(capsys, tmp_path):
     assert json.loads(path.read_text()) == rep
 
 
-def test_workers_do_not_change_results(capsys):
-    c1, r1 = run(capsys, "verify-lemma", "--lemma", "a1a2-equiv", "--workers", "2")
-    assert c1 == 0
-    r1s = stable_view(r1)
-    c2, r2 = run(capsys, "verify-lemma", "--lemma", "a1a2-equiv")
-    r2s = stable_view(r2)
-    r1s["config"].pop("workers"), r2s["config"].pop("workers")
-    assert r1s == r2s
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--p", "4"),
+    ("enumerate", "--p", "2", "--e", "5"),
+    ("automorphisms", "--fixture", "flagship.json", "--budget", "3"),
+    ("verify-lemma", "--fixture", "flagship.json", "--lemma", "lift",
+     "--i", "5", "--j", "0"),
+    ("components", "--fixture", "flagship.json", "--i", "0", "--j", "0"),
+    ("components", "--fixture", "flagship.json", "--type", "ibar", "--i", "3"),
+    ("adjacency", "--pair-file", "missing.json"),
+    ("counterexample", "--fixture", "flagship.json", "--limit", "-1"),
+], ids=" ".join)
+def test_bad_input_ends_in_one_error_report(capsys, argv):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    code = main(argv)
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert rep["results"]["error"]
 
 
 def test_unknown_lemma_exits_one(capsys):

@@ -3,6 +3,7 @@ orthocomplement twist, the independent-pair swap, and the one-sided
 path obstruction."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -23,6 +24,7 @@ from opgraphs.constructions import (
     swap_flag,
     unitary_generators,
     unitary_group,
+    unitary_order,
     verify_swap,
     _norm_one_vectors,
 )
@@ -42,6 +44,23 @@ GEN_ROWS_U3_GF9 = (
     ((0, 0, 1), (4, 4, 0), (4, 8, 0)),
 )
 
+GEN_ROWS_U3_GF4 = (
+    ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+    ((0, 0, 1), (0, 1, 0), (2, 0, 0)),
+    ((0, 0, 1), (0, 2, 0), (1, 0, 0)),
+    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+    ((1, 1, 1), (1, 2, 3), (1, 3, 2)),
+)
+
+GEN_ROWS_U4_GF4 = (
+    ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)),
+    ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (2, 0, 0, 0)),
+    ((0, 0, 0, 1), (0, 0, 1, 0), (0, 2, 0, 0), (1, 0, 0, 0)),
+    ((0, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0)),
+    ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0)),
+    ((0, 0, 0, 1), (1, 1, 1, 0), (1, 2, 3, 0), (1, 3, 2, 0)),
+)
+
 
 def qi(re, im=0):
     return QI.scalar(Fraction(re), Fraction(im))
@@ -49,20 +68,33 @@ def qi(re, im=0):
 
 def test_isometry_group_orders(f9):
     assert len(_norm_one_vectors(f9, 3)) == 252
-    assert len(unitary_group(f9, 2)) == 96
-    group = unitary_group(f9, 3)
-    assert len(group) == 24192
-    for m in group[:50]:
+    assert sum(1 for _ in unitary_group(f9, 2)) == 96
+    assert sum(1 for _ in unitary_group(f9, 3)) == 24192
+    for m in islice(unitary_group(f9, 3), 50):
         assert is_isometry(f9, m)
     with pytest.raises(ConstructionError):
         unitary_group(QI, 3)
 
 
-def test_isometry_generators_are_frozen_and_generate(f9):
-    gens = unitary_generators(f9, 3)
-    assert tuple(m.rows for m in gens) == GEN_ROWS_U3_GF9
-    # independent closure: breadth-first product walk recovers the group
-    ident = Matrix.identity(f9, 3)
+@pytest.mark.parametrize("q, n, p, e", [
+    (2, 2, 2, 1), (2, 3, 2, 1), (3, 2, 3, 1), (3, 3, 3, 1), (4, 2, 2, 2)])
+def test_unitary_order_counts_the_scan(q, n, p, e):
+    field = galois_field(p, e)
+    assert field.q == q
+    assert sum(1 for _ in unitary_group(field, n)) == unitary_order(q, n)
+
+
+@pytest.mark.parametrize("char, n, rows, order", [
+    (3, 3, GEN_ROWS_U3_GF9, 24192),
+    (2, 3, GEN_ROWS_U3_GF4, 648),
+    (2, 4, GEN_ROWS_U4_GF4, 77760),
+], ids=["GF(9)^3", "GF(4)^3", "GF(4)^4"])
+def test_isometry_generators_are_frozen_and_generate(char, n, rows, order):
+    field = galois_field(char, 1)
+    gens = unitary_generators(field, n)
+    assert tuple(m.rows for m in gens) == rows
+    # independent closure: a product walk over matrices recovers the group
+    ident = Matrix.identity(field, n)
     seen = {ident.rows}
     frontier = [ident]
     while frontier:
@@ -72,7 +104,7 @@ def test_isometry_generators_are_frozen_and_generate(f9):
             if p.rows not in seen:
                 seen.add(p.rows)
                 frontier.append(p)
-    assert len(seen) == 24192
+    assert len(seen) == order
 
 
 def test_linear_vertex_maps_from_isometries(flagship_graph, f9):

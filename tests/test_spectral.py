@@ -14,7 +14,6 @@ from opgraphs.spectral import (
     SdPermutation,
     adjacency_slots,
     adjacent,
-    assemble_matrix,
     contract,
     coordinate_flag,
     difference_rows,
@@ -169,12 +168,6 @@ def test_flag_from_matrix_rejects_wrong_spectrum():
         flag_from_matrix(DIAG123, not_hermitian)
 
 
-def test_assemble_matches_matrix():
-    rng = random.Random(37)
-    f = random_flag(DIAG123, rng)
-    assert assemble_matrix(f) == f.matrix()
-
-
 def test_contract_operator_identity():
     t = contract(A, 0, 1)
     assert t.signature.dims == (2, 1)
@@ -244,12 +237,3 @@ def test_census_on_flagship(flagship_census):
     assert c.total == c.adjacent_count + c.rank_only_count + c.rank_other
     assert c.mismatches == []
     assert len(c.edges) == 2835
-
-
-def test_census_worker_invariance(flagship_flags, flagship_census):
-    from opgraphs.spectral import classify_pairs
-
-    c2 = classify_pairs(flagship_flags, workers=2)
-    assert c2.edges == flagship_census.edges
-    assert c2.rank_only == flagship_census.rank_only
-    assert (c2.total, c2.rank_other) == (flagship_census.total, flagship_census.rank_other)
