@@ -56,15 +56,42 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
-def _tokens(value):
+def _tokens(name, value):
     if isinstance(value, str):
         return [t for t in value.split(",") if t]
+    if not isinstance(value, list):
+        raise CliError(f"{name} must be a comma list, got {value!r}")
     return [str(t) for t in value]
+
+
+def _integer(name, value):
+    """An int, or a string spelling one; bools and floats are refused."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise CliError(f"{name} must be an integer, got {value!r}")
+
+
+def _at_least(name, value, low=1):
+    if value < low:
+        raise CliError(f"--{name} must be at least {low}, got {value}")
+
+
+def _load_fixture(path):
+    try:
+        fixture = load_json(path)
+    except ValueError as e:
+        raise CliError(f"fixture {path} is not valid JSON: {e}") from None
+    if not isinstance(fixture, dict):
+        raise CliError(f"fixture {path} must hold a JSON object")
+    return fixture
 
 
 def _resolve(args):
     """Merge explicit flags over fixture-file values over defaults."""
-    fixture = load_json(args.fixture) if getattr(args, "fixture", None) else {}
+    fixture = _load_fixture(args.fixture) if getattr(args, "fixture", None) else {}
 
     def pick(name):
         v = getattr(args, name, None)
@@ -78,10 +105,10 @@ def _resolve(args):
     if backend == "qi":
         field = QI
     else:
-        field = galois_field(int(pick("p")), int(pick("e")))
-    sigma_tokens = _tokens(pick("sigma"))
-    dims = [int(t) for t in _tokens(pick("dims"))]
-    seed = int(pick("seed"))
+        field = galois_field(_integer("p", pick("p")), _integer("e", pick("e")))
+    sigma_tokens = _tokens("sigma", pick("sigma"))
+    dims = [_integer("dims", t) for t in _tokens("dims", pick("dims"))]
+    seed = _integer("seed", pick("seed"))
     config = {
         "backend": field.descriptor(),
         "sigma": sigma_tokens,
@@ -135,7 +162,10 @@ def cmd_enumerate(args):
 def cmd_adjacency(args):
     if not args.pair_file:
         raise CliError("adjacency needs --pair-file")
-    a, b = load_pair(args.pair_file)
+    try:
+        a, b = load_pair(args.pair_file)
+    except (ValueError, TypeError, KeyError) as e:
+        raise CliError(f"malformed pair file {args.pair_file}: {e!r}") from None
     config = {
         "pair_file": os.path.basename(args.pair_file),
         "backend": a.signature.field.descriptor(),
@@ -230,16 +260,17 @@ def cmd_components(args):
 
 def cmd_automorphisms(args):
     code = EXIT_OK
-    budget = args.budget or 2_000_000
+    _at_least("budget", args.budget)
     if args.graph in ("petersen", "johnson"):
         if args.graph == "petersen":
             g = petersen_graph()
             config = {"graph": "petersen"}
         else:
-            n = args.n or 4
+            n = args.n
+            _at_least("n", n, 2)
             g = johnson_graph(n)
             config = {"graph": "johnson", "n": n}
-        chain = automorphism_group(g.adjlist, node_budget=budget)
+        chain = automorphism_group(g.adjlist, node_budget=args.budget)
         results = {
             "vertex_count": len(g.adjlist),
             "automorphism_order": str(chain.order()),
@@ -268,7 +299,7 @@ def cmd_automorphisms(args):
         results["induced_generator_count"] = len(gens)
         results["induced_generators_verified"] = True
     chain = automorphism_group(
-        graph.adjacency(), known_generators=known, node_budget=budget)
+        graph.adjacency(), known_generators=known, node_budget=args.budget)
     results["automorphism_order"] = str(chain.order())
     if args.compare_induced:
         aut, ind = chain.order(), chain_ind.order()
@@ -286,6 +317,8 @@ def cmd_automorphisms(args):
 def cmd_verify_lemma(args):
     field, sigma_tokens, dims, seed, config = _resolve(args)
     config["lemma"] = args.lemma
+    _at_least("samples", args.samples)
+    _at_least("budget", args.budget)
     if args.lemma == "a1a2-equiv":
         sig = _signature(field, sigma_tokens, dims)
         results = verify_move_equivalence(sig, samples=args.samples, seed=seed)
@@ -306,7 +339,7 @@ def cmd_verify_lemma(args):
         results = verify_obstruction_lemma(sig)
     else:  # johnson-tau
         sig = _signature(field, sigma_tokens, dims) if field.is_finite else None
-        results = verify_type_action(sig, node_budget=args.budget or 2_000_000)
+        results = verify_type_action(sig, node_budget=args.budget)
     if results.get("mode") == "unavailable":
         raise CliError(results.get("reason", "lemma unavailable here"))
     code = EXIT_OK if results.get("holds") else EXIT_DIVERGENCE
@@ -414,9 +447,10 @@ def build_parser():
     _add_common(p)
     p.add_argument("--graph", choices=("class", "petersen", "johnson"),
                    default="class")
-    p.add_argument("--n", type=int, help="johnson parameter")
+    p.add_argument("--n", type=int, default=4, help="johnson parameter")
     p.add_argument("--compare-induced", action="store_true")
-    p.add_argument("--budget", type=int, help="search tree node budget")
+    p.add_argument("--budget", type=int, default=2_000_000,
+                   help="search tree node budget")
     p.add_argument("--generators-out", help="write the group JSON here")
     p.add_argument("--dot", help="write DOT here")
     p.set_defaults(run=cmd_automorphisms)
@@ -428,7 +462,8 @@ def build_parser():
                    help="sampled instances on infinite backends")
     p.add_argument("--i", type=int)
     p.add_argument("--j", type=int)
-    p.add_argument("--budget", type=int, help="search tree node budget")
+    p.add_argument("--budget", type=int, default=2_000_000,
+                   help="search tree node budget")
     p.set_defaults(run=cmd_verify_lemma)
 
     p = subs.add_parser("counterexample",

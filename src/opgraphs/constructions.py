@@ -184,7 +184,7 @@ def induced_generators(graph):
     return out
 
 
-def induced_subgroup(graph, extra_perms=()):
+def induced_subgroup(graph):
     """Stabilizer chain of the group the natural maps generate."""
     adj = graph.adjacency()
     chain = StabChain(graph.n)
@@ -193,8 +193,6 @@ def induced_subgroup(graph, extra_perms=()):
         if not is_automorphism(adj, perm):
             raise ConstructionError(f"{kind} map failed the automorphism check")
         chain.add(perm)
-    for perm in extra_perms:
-        chain.add(tuple(perm))
     return chain, gens
 
 

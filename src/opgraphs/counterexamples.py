@@ -17,7 +17,6 @@ that shares no linear algebra with the production path.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from random import Random
 
 from .linalg import Matrix, Subspace, herm_form, right_kernel
@@ -45,34 +44,6 @@ def _adjugate3(M: Matrix) -> Matrix:
             m = minor(c, r)
             out[r][c] = m if (r + c) % 2 == 0 else f.neg(m)
     return Matrix(f, out)
-
-
-def _rational_kernel(rows, ncols):
-    m = [list(map(Fraction, r)) for r in rows]
-    piv = []
-    r = 0
-    for c in range(ncols):
-        prow = next((k for k in range(r, len(m)) if m[k][c] != 0), None)
-        if prow is None:
-            continue
-        m[r], m[prow] = m[prow], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for k in range(len(m)):
-            if k != r and m[k][c] != 0:
-                fk = m[k][c]
-                m[k] = [x - fk * y for x, y in zip(m[k], m[r])]
-        piv.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in piv]
-    out = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for rr, pc in enumerate(piv):
-            vec[pc] = -m[rr][fc]
-        out.append(vec)
-    return out
 
 
 def perturbation_from_vector(flag: EigenFlag, v):
@@ -112,21 +83,22 @@ def perturbation_from_vector(flag: EigenFlag, v):
         outer(u1, u2).scale(ii) + outer(u2, u1).scale(f.neg(ii)),
     ]
     adjA = _adjugate3(Am)
-    row1 = [Dk.trace()[0] for Dk in basis]
-    row2 = [f.add((adjA @ Dk).trace(), f.mul(kappa, (Am @ Dk).trace()))[0]
+    row1 = [Dk.trace() for Dk in basis]
+    row2 = [f.add((adjA @ Dk).trace(), f.mul(kappa, (Am @ Dk).trace()))
             for Dk in basis]
-    dirs = _rational_kernel([row1, row2], 4)
+    dirs = right_kernel(f, [row1, row2], 4)
     if not dirs:
         return None
     for coeffs in ([1, 0], [0, 1], [1, 1], [1, -1], [2, 1], [1, 2]):
         if len(dirs) == 1 and coeffs[1] != 0:
             continue
-        r4 = [sum(Fraction(c) * d[k] for c, d in zip(coeffs, dirs))
-              for k in range(4)]
+        r4 = [f.zero] * 4
+        for c, d in zip(coeffs, dirs):
+            r4 = [f.add(x, f.mul(f.scalar(c), y)) for x, y in zip(r4, d)]
         Dr = Matrix.zero(f, 3)
         for ck, Dk in zip(r4, basis):
-            if ck:
-                Dr = Dr + Dk.scale(f.scalar(ck, 0))
+            if ck != f.zero:
+                Dr = Dr + Dk.scale(ck)
         if Dr == Matrix.zero(f, 3):
             continue
         alpha = (Am @ Dr).trace()[0]

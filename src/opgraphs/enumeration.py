@@ -57,16 +57,8 @@ def subspaces_within(W: Subspace, k):
     """All k-dimensional subspaces of the given subspace."""
     f = W.field
     _require_finite(f)
-    mul, add, zero = f.mul, f.add, f.zero
     for S in subspaces(f, W.dim, k):
-        rows = []
-        for coeffs in S.rows:
-            vec = [zero] * W.ambient
-            for c, wrow in zip(coeffs, W.rows):
-                if c != zero:
-                    vec = [add(x, mul(c, y)) for x, y in zip(vec, wrow)]
-            rows.append(vec)
-        yield Subspace(f, W.ambient, rows)
+        yield Subspace(f, W.ambient, [W.vector_at(c) for c in S.rows])
 
 
 def nondegenerate_subspaces_within(W: Subspace, k):

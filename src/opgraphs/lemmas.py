@@ -20,18 +20,11 @@ from .constructions import (induced_subgroup, obstruction_witness,
 from .graphs import (LabeledGraph, classify_type_map, induced_type_map,
                      johnson_graph, pair_complement_map)
 from .autgroup import automorphism_group, backtracking_order, is_automorphism
-from .linalg import Subspace, relative_orthocomplement, scale_vector
+from .linalg import Subspace, relative_orthocomplement
 from .sampling import random_flag, random_vector
 from .spectral import (ClassSignature, EigenFlag, adjacency_slots, adjacent,
                        classify_pairs, contract, coordinate_flag,
                        enumerate_class, fiber)
-
-
-def _in_span(f, rows, coeffs):
-    out = tuple(f.zero for _ in rows[0])
-    for c, r in zip(coeffs, rows):
-        out = tuple(f.add(x, y) for x, y in zip(out, scale_vector(f, c, r)))
-    return out
 
 
 def _rotated_pair_flag(sig, base, i, j, rng=None):
@@ -75,7 +68,7 @@ def _rotated_pair_flag(sig, base, i, j, rng=None):
     for _ in range(500):
         coeffs = [random_vector(f, W.dim, rng, height=2)
                   for _ in range(sig.dims[i])]
-        rows = [_in_span(f, W.rows, cs) for cs in coeffs]
+        rows = [W.vector_at(cs) for cs in coeffs]
         if any(all(x == f.zero for x in r) for r in rows):
             continue
         X = Subspace(f, sig.ambient, rows)

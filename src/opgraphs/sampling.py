@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Matrix, Subspace, herm_form
+from .linalg import Subspace, herm_form
 
 
 def random_scalar(field, rng, height=4):
@@ -26,18 +26,12 @@ def random_vector(field, length, rng, height=4):
     return tuple(random_scalar(field, rng, height) for _ in range(length))
 
 
-def random_invertible(field, n, rng, height=4):
-    while True:
-        M = Matrix(field, [random_vector(field, n, rng, height) for _ in range(n)])
-        if M.det() != field.zero:
-            return M
-
-
 def orthogonalize(field, vectors):
     """Exact Gram-Schmidt without normalization.
 
     Returns None when a running vector is isotropic (finite backends);
-    callers resample.
+    callers resample.  A vector dependent on the earlier ones reduces to
+    zero, which is isotropic, so None also covers dependent input.
     """
     out = []
     norms = []
@@ -58,8 +52,8 @@ def orthogonalize(field, vectors):
 
 def random_orthogonal_basis(field, n, rng, height=4):
     while True:
-        M = random_invertible(field, n, rng, height)
-        basis = orthogonalize(field, M.rows)
+        rows = [random_vector(field, n, rng, height) for _ in range(n)]
+        basis = orthogonalize(field, rows)
         if basis is not None:
             return basis
 

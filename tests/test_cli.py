@@ -245,6 +245,17 @@ def test_out_writes_the_same_report(capsys, tmp_path):
     assert json.loads(path.read_text()) == rep
 
 
+# malformed input files, written under tmp_path by the test below
+BAD_FILES = {
+    "not-json.json": "{not json",
+    "list.json": "[1, 2]",
+    "p-text.json": '{"p": "x"}',
+    "e-float.json": '{"e": 1.5}',
+    "seed-list.json": '{"seed": [1]}',
+    "dims-text.json": '{"dims": "1,y"}',
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("enumerate", "--p", "4"),
     ("enumerate", "--p", "2", "--e", "5"),
@@ -255,9 +266,26 @@ def test_out_writes_the_same_report(capsys, tmp_path):
     ("components", "--fixture", "flagship.json", "--type", "ibar", "--i", "3"),
     ("adjacency", "--pair-file", "missing.json"),
     ("counterexample", "--fixture", "flagship.json", "--limit", "-1"),
+    ("enumerate", "--dims", "1,x"),
+    ("enumerate", "--fixture", "not-json.json"),
+    ("enumerate", "--fixture", "list.json"),
+    ("enumerate", "--fixture", "p-text.json"),
+    ("enumerate", "--fixture", "e-float.json"),
+    ("enumerate", "--fixture", "seed-list.json"),
+    ("enumerate", "--fixture", "dims-text.json"),
+    ("adjacency", "--pair-file", "list.json"),
+    ("verify-lemma", "--backend", "qi", "--lemma", "a1a2-equiv",
+     "--samples", "-3"),
+    ("automorphisms", "--fixture", "flagship.json", "--budget", "0"),
+    ("verify-lemma", "--fixture", "flagship.json", "--lemma", "johnson-tau",
+     "--budget", "0"),
+    ("automorphisms", "--graph", "johnson", "--n", "1"),
 ], ids=" ".join)
-def test_bad_input_ends_in_one_error_report(capsys, argv):
-    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+def test_bad_input_ends_in_one_error_report(capsys, tmp_path, argv):
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str((tmp_path if a in BAD_FILES else FIXTURES) / a)
+            if a.endswith(".json") else a for a in argv]
     code = main(argv)
     rep = json.loads(capsys.readouterr().out)
     assert code == 1

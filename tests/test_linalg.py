@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from opgraphs.linalg import (
     is_invariant,
     matvec,
     relative_orthocomplement,
+    rref,
 )
 from opgraphs.starfield import QI, galois_field
 
@@ -241,6 +243,48 @@ def test_line_helpers_and_coordinates():
     coeffs = u.coordinates_of(v)
     assert coeffs == (qi(1), qi(1))
     assert u.coordinates_of((qi(0), qi(0), qi(1))) is None
+    assert u.vector_at(coeffs) == v
+    assert u.vector_at((qi(0), qi(0))) == (qi(0),) * 3
+    assert u.vector_at((qi(2), qi(0, 1))) == (qi(2), qi(0, 1), qi(2, 1))
+    with pytest.raises(ValueError):
+        u.vector_at((qi(1),))
+
+
+# every subspace of the 3-dimensional space, per small field: the
+# rank-based production answers against their elimination oracles
+ALL_SUBSPACES = {
+    name: [S for k in range(4) for S in subspaces(field, 3, k)]
+    for name, field in (("GF(9)^3", F9), ("GF(4)^3", galois_field(2, 1)))
+}
+
+
+@pytest.mark.parametrize("name", ALL_SUBSPACES)
+def test_nondegeneracy_matches_the_radical(name):
+    for S in ALL_SUBSPACES[name]:
+        assert S.is_nondegenerate() == (S.radical().dim == 0)
+
+
+@pytest.mark.parametrize("name", ALL_SUBSPACES)
+def test_adjacency_and_rank_match_their_oracles(name):
+    spaces = ALL_SUBSPACES[name]
+    field = spaces[0].field
+    for S in spaces:
+        for T in spaces:
+            rows = S.rows + T.rows
+            assert Matrix(field, rows).rank() == len(rref(field, rows, 3)[1])
+            if S.dim == T.dim:
+                assert S.adjacent_to(T) == (S.intersect(T).dim == S.dim - 1)
+
+
+@pytest.mark.parametrize("name", ALL_SUBSPACES)
+def test_coordinates_invert_vector_at(name):
+    spaces = ALL_SUBSPACES[name]
+    field = spaces[0].field
+    for S in spaces:
+        for coeffs in product(field.elements(), repeat=S.dim):
+            v = S.vector_at(coeffs)
+            assert S.contains_vector(v)
+            assert S.coordinates_of(v) == coeffs
 
 
 def test_subspace_adjacency_is_hyperplane_meeting():

@@ -1,0 +1,34 @@
+"""Smoke runs of the standalone scripts on the smallest inputs.
+
+The scripts repeat CLI logic outside the package, so each is run as a
+subprocess and checked on its exit code and its final summary line.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TINY = ("--p", "2", "--e", "1", "--sigma", "0,1", "--dims", "1,2")
+
+
+@pytest.mark.parametrize("script, argv, last_line", [
+    pytest.param("component_census.py", TINY, "global:    1 component(s)",
+                 id="component_census"),
+    pytest.param("survey_class.py", TINY + ("--full-group",),
+                 "index               1108800", id="survey_class"),
+    pytest.param("hunt_rank_only.py", ("--seeds", "1"),
+                 "1/1 seeds produced a verified pair", id="hunt_rank_only"),
+])
+def test_script_runs_to_its_summary(script, argv, last_line):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == last_line
