@@ -10,11 +10,11 @@ the blocks of the i-th eigenspace.  Ends with global connectivity.
 """
 
 import argparse
+import sys
 from itertools import combinations
 
+from opgraphs.cli import CliError, _resolve, _signature
 from opgraphs.graphs import LabeledGraph
-from opgraphs.spectral import ClassSignature
-from opgraphs.starfield import galois_field
 
 
 def partition_profile(parts):
@@ -26,17 +26,14 @@ def partition_profile(parts):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--p", type=int, default=3)
-    ap.add_argument("--e", type=int, default=1)
-    ap.add_argument("--sigma", default="0,1,2")
-    ap.add_argument("--dims", default="1,1,1")
+    ap.add_argument("--p", type=int)
+    ap.add_argument("--e", type=int)
+    ap.add_argument("--sigma")
+    ap.add_argument("--dims")
     args = ap.parse_args()
 
-    field = galois_field(args.p, args.e)
-    sigma = tuple(field.parse_fixed(t) for t in args.sigma.split(","))
-    dims = tuple(int(t) for t in args.dims.split(","))
-    sig = ClassSignature(field, sigma, dims)
-    graph = LabeledGraph.build(sig)
+    field, sigma_tokens, dims, _, _ = _resolve(args)
+    graph = LabeledGraph.build(_signature(field, sigma_tokens, dims))
     k = len(dims)
     print(f"class on {graph.n} vertices, {len(graph.edges)} edges")
 
@@ -65,4 +62,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (CliError, ValueError) as e:
+        sys.exit(f"error: {e}")

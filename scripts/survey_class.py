@@ -9,30 +9,29 @@ the full one.  Defaults to the three-line class over GF(9)^3.
 """
 
 import argparse
+import sys
 import time
 
 from opgraphs.autgroup import automorphism_group
+from opgraphs.cli import CliError, _resolve, _signature
 from opgraphs.constructions import induced_subgroup
 from opgraphs.graphs import LabeledGraph
-from opgraphs.spectral import ClassSignature, classify_pairs, enumerate_class
-from opgraphs.starfield import galois_field
+from opgraphs.spectral import classify_pairs, enumerate_class
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--p", type=int, default=3)
-    ap.add_argument("--e", type=int, default=1)
-    ap.add_argument("--sigma", default="0,1,2")
-    ap.add_argument("--dims", default="1,1,1")
+    ap.add_argument("--p", type=int)
+    ap.add_argument("--e", type=int)
+    ap.add_argument("--sigma")
+    ap.add_argument("--dims")
     ap.add_argument("--full-group", action="store_true",
                     help="also run the backtracking search for Aut (slow on "
                          "large or complete graphs)")
     args = ap.parse_args()
 
-    field = galois_field(args.p, args.e)
-    sigma = tuple(field.parse_fixed(t) for t in args.sigma.split(","))
-    dims = tuple(int(t) for t in args.dims.split(","))
-    sig = ClassSignature(field, sigma, dims)
+    field, sigma_tokens, dims, _, _ = _resolve(args)
+    sig = _signature(field, sigma_tokens, dims)
 
     t0 = time.perf_counter()
     flags = enumerate_class(sig)
@@ -74,4 +73,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (CliError, ValueError) as e:
+        sys.exit(f"error: {e}")

@@ -77,7 +77,6 @@ class StabChain:
         self.gens = [[] for _ in self.base]
         self.orbits = [{b: self.identity} for b in self.base]
         self._done = [set() for _ in self.base]
-        self.version = 0
 
     def order(self):
         out = 1
@@ -130,7 +129,6 @@ class StabChain:
             return False
         self._append_gen(h, l)
         self._close(l)
-        self.version += 1
         return True
 
     def _close(self, start):

@@ -4,7 +4,8 @@ Every command echoes the config that produced it; identical configs
 with the same seed reproduce the report byte for byte (timing fields
 aside).  Exit codes: 0 all checks passed, 2 a finite-backend analog
 of a complex-model statement failed (loudly flagged, still a valid
-report), 1 usage errors and infeasible requests.
+report), 1 usage errors, infeasible requests and crashes.  `main` is
+the one place where an exception becomes a report.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import os
 import sys
 import time
 
-from .autgroup import BudgetExceededError, automorphism_group
-from .constructions import ConstructionError, induced_subgroup
+from .autgroup import automorphism_group
+from .constructions import induced_subgroup
 from .counterexamples import (SearchBudgetError, census_certificates,
                               find_rank_only_pair, verify_certificate)
 from .graphs import LabeledGraph, johnson_graph, petersen_graph
@@ -29,7 +30,7 @@ from .serialize import (adjacency_to_dot, graph_to_dot, group_to_json,
 from .spectral import (ClassSignature, adjacency_slots, classify_pairs,
                        coordinate_flag, enumerate_class,
                        invariance_condition, rank_condition)
-from .starfield import QI, StarFieldError, galois_field
+from .starfield import QI, galois_field
 
 DEFAULTS = {
     "backend": "gf",
@@ -48,12 +49,10 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; 2 is reserved for divergence."""
+    """Usage errors become error reports; exit 2 is kept for divergence."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_ERROR)
+        raise CliError(f"{self.prog}: {message}")
 
 
 def _tokens(name, value):
@@ -74,9 +73,17 @@ def _integer(name, value):
     raise CliError(f"{name} must be an integer, got {value!r}")
 
 
-def _at_least(name, value, low=1):
-    if value < low:
-        raise CliError(f"--{name} must be at least {low}, got {value}")
+def _at_least(low):
+    """An argparse `type=`: an integer no smaller than `low`."""
+
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _load_fixture(path):
@@ -119,11 +126,8 @@ def _resolve(args):
 
 
 def _signature(field, sigma_tokens, dims):
-    try:
-        sigma = tuple(field.parse_fixed(t) for t in sigma_tokens)
-        return ClassSignature(field, sigma, tuple(dims))
-    except (ValueError, StarFieldError) as e:
-        raise CliError(str(e)) from None
+    sigma = tuple(field.parse_fixed(t) for t in sigma_tokens)
+    return ClassSignature(field, sigma, tuple(dims))
 
 
 def _check_slots(sig, *slots):
@@ -136,22 +140,13 @@ def _check_slots(sig, *slots):
         raise CliError(f"slot indices must be distinct, got {given}")
 
 
-def _class_graph(sig):
-    flags = enumerate_class(sig)
-    return LabeledGraph.build(sig, flags)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_enumerate(args):
     field, sigma_tokens, dims, seed, config = _resolve(args)
-    sig = _signature(field, sigma_tokens, dims)
-    try:
-        flags = enumerate_class(sig)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    flags = enumerate_class(_signature(field, sigma_tokens, dims))
     results = {"vertex_count": len(flags)}
     if args.dump_flags:
         results["flags"] = [
@@ -160,8 +155,6 @@ def cmd_enumerate(args):
 
 
 def cmd_adjacency(args):
-    if not args.pair_file:
-        raise CliError("adjacency needs --pair-file")
     try:
         a, b = load_pair(args.pair_file)
     except (ValueError, TypeError, KeyError) as e:
@@ -201,10 +194,7 @@ def cmd_components(args):
     elif args.type == "ibar":
         i = 2 if args.i is None else args.i
         _check_slots(sig, i)
-    try:
-        graph = _class_graph(sig)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    graph = LabeledGraph.build(sig)
     config["type"] = args.type
     code = EXIT_OK
     if args.type == "global":
@@ -260,14 +250,12 @@ def cmd_components(args):
 
 def cmd_automorphisms(args):
     code = EXIT_OK
-    _at_least("budget", args.budget)
     if args.graph in ("petersen", "johnson"):
         if args.graph == "petersen":
             g = petersen_graph()
             config = {"graph": "petersen"}
         else:
             n = args.n
-            _at_least("n", n, 2)
             g = johnson_graph(n)
             config = {"graph": "johnson", "n": n}
         chain = automorphism_group(g.adjlist, node_budget=args.budget)
@@ -285,11 +273,7 @@ def cmd_automorphisms(args):
         return config, results, code
 
     field, sigma_tokens, dims, seed, config = _resolve(args)
-    sig = _signature(field, sigma_tokens, dims)
-    try:
-        graph = _class_graph(sig)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    graph = LabeledGraph.build(_signature(field, sigma_tokens, dims))
     results = {"vertex_count": graph.n, "edge_count": len(graph.edges)}
     known = ()
     if args.compare_induced:
@@ -317,8 +301,6 @@ def cmd_automorphisms(args):
 def cmd_verify_lemma(args):
     field, sigma_tokens, dims, seed, config = _resolve(args)
     config["lemma"] = args.lemma
-    _at_least("samples", args.samples)
-    _at_least("budget", args.budget)
     if args.lemma == "a1a2-equiv":
         sig = _signature(field, sigma_tokens, dims)
         results = verify_move_equivalence(sig, samples=args.samples, seed=seed)
@@ -327,15 +309,12 @@ def cmd_verify_lemma(args):
         _check_slots(sig, args.i, args.j)
         results = verify_fiber_lift(sig, args.i, args.j)
     elif args.lemma == "swap":
-        explicit = args.sigma is not None
-        try:
-            sigma = (tuple(field.parse_fixed(t) for t in sigma_tokens)
-                     if explicit else None)
-            results = verify_swap_lemma(field, sigma=sigma)
-        except (ValueError, StarFieldError) as e:
-            raise CliError(str(e)) from None
+        sigma = (tuple(field.parse_fixed(t) for t in sigma_tokens)
+                 if args.sigma is not None else None)
+        results = verify_swap_lemma(field, sigma=sigma)
     elif args.lemma == "obstruction":
         sig = _signature(field, sigma_tokens, dims)
+        _check_slots(sig, 0, 1, 2)
         results = verify_obstruction_lemma(sig)
     else:  # johnson-tau
         sig = _signature(field, sigma_tokens, dims) if field.is_finite else None
@@ -353,8 +332,6 @@ def cmd_counterexample(args):
         raise CliError(
             "a rank-two difference with two eigenvalues always has "
             "invariant image and kernel; no counterexample can exist")
-    if args.limit < 0:
-        raise CliError(f"--limit must be non-negative, got {args.limit}")
     config["budget"] = args.budget
     config["limit"] = args.limit
     if field.is_finite:
@@ -432,7 +409,8 @@ def build_parser():
 
     p = subs.add_parser("adjacency", help="classify one pair of flags")
     _add_common(p)
-    p.add_argument("--pair-file", help="pair JSON (see serialize.save_pair)")
+    p.add_argument("--pair-file", required=True,
+                   help="pair JSON (see serialize.save_pair)")
     p.set_defaults(run=cmd_adjacency)
 
     p = subs.add_parser("components", help="component partitions")
@@ -447,9 +425,10 @@ def build_parser():
     _add_common(p)
     p.add_argument("--graph", choices=("class", "petersen", "johnson"),
                    default="class")
-    p.add_argument("--n", type=int, default=4, help="johnson parameter")
+    p.add_argument("--n", type=_at_least(2), default=4,
+                   help="johnson parameter")
     p.add_argument("--compare-induced", action="store_true")
-    p.add_argument("--budget", type=int, default=2_000_000,
+    p.add_argument("--budget", type=_at_least(1), default=2_000_000,
                    help="search tree node budget")
     p.add_argument("--generators-out", help="write the group JSON here")
     p.add_argument("--dot", help="write DOT here")
@@ -458,11 +437,11 @@ def build_parser():
     p = subs.add_parser("verify-lemma", help="check one structure move")
     _add_common(p)
     p.add_argument("--lemma", choices=LEMMAS, required=True)
-    p.add_argument("--samples", type=int, default=40,
+    p.add_argument("--samples", type=_at_least(1), default=40,
                    help="sampled instances on infinite backends")
     p.add_argument("--i", type=int)
     p.add_argument("--j", type=int)
-    p.add_argument("--budget", type=int, default=2_000_000,
+    p.add_argument("--budget", type=_at_least(1), default=2_000_000,
                    help="search tree node budget")
     p.set_defaults(run=cmd_verify_lemma)
 
@@ -471,27 +450,39 @@ def build_parser():
     _add_common(p)
     p.add_argument("--budget", type=int, default=200,
                    help="attempt budget for the randomized search")
-    p.add_argument("--limit", type=int, default=3,
+    p.add_argument("--limit", type=_at_least(0), default=3,
                    help="certificates to emit from an exhaustive census")
     p.set_defaults(run=cmd_counterexample)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; every outcome but `--help` is one JSON report.
+
+    A `CliError` is reported by its message, any other exception as
+    `<Type>: message`, both with exit code 1.  When `--out` cannot be
+    written, the error report goes to stdout only.
+    """
     start = time.time()
+    command = out = None
     try:
+        args = build_parser().parse_args(argv)
+        command, out = args.command, args.out
         config, results, code = args.run(args)
-    except (CliError, StarFieldError, BudgetExceededError, ConstructionError,
-            OSError) as e:
-        report = build_report(args.command, {}, {"error": str(e)},
+        report = build_report(command, config, results, time.time() - start)
+        sys.stdout.write(write_report(report, out))
+        return code
+    except Exception as e:
+        error = (str(e) if isinstance(e, CliError)
+                 else f"{type(e).__name__}: {e}")
+        report = build_report(command, {}, {"error": error},
                               time.time() - start)
-        sys.stdout.write(write_report(report, getattr(args, "out", None)))
+        try:
+            text = write_report(report, out)
+        except OSError:
+            text = write_report(report)
+        sys.stdout.write(text)
         return EXIT_ERROR
-    report = build_report(args.command, config, results, time.time() - start)
-    sys.stdout.write(write_report(report, getattr(args, "out", None)))
-    return code
 
 
 if __name__ == "__main__":

@@ -358,39 +358,6 @@ class PairCensus:
         return len(self.rank_only)
 
 
-def _census_row(f, flags, mats, u):
-    """Classify the pairs (u, v) for v > u; one unit of census work."""
-    sub = f.sub
-    Au = mats[u]
-    fu = flags[u]
-    rank_other = 0
-    adjacent_count = 0
-    rank_only = []
-    edges = []
-    mismatches = []
-    for v in range(u + 1, len(flags)):
-        rows = [
-            [sub(x, y) for x, y in zip(rb, ra)]
-            for ra, rb in zip(Au, mats[v])
-        ]
-        slots = adjacency_slots(fu, flags[v])
-        if rank_of_rows(f, rows) != 2:
-            rank_other += 1
-            if slots is not None:
-                mismatches.append((u, v))
-            continue
-        if invariance_condition(fu, flags[v]):
-            adjacent_count += 1
-            edges.append(((u, v), slots))
-            if slots is None:
-                mismatches.append((u, v))
-        else:
-            rank_only.append((u, v))
-            if slots is not None:
-                mismatches.append((u, v))
-    return rank_other, adjacent_count, rank_only, edges, mismatches
-
-
 def classify_pairs(flags) -> PairCensus:
     """Compare the condition-based and geometric adjacency on all pairs.
 
@@ -399,16 +366,32 @@ def classify_pairs(flags) -> PairCensus:
     """
     flags = list(flags)
     n = len(flags)
+    census = PairCensus(n * (n - 1) // 2, 0, 0, [], [], [])
     if n == 0:
-        return PairCensus(0, 0, 0, [], [], [])
+        return census
     f = flags[0].signature.field
+    sub = f.sub
     mats = [fl.matrix().rows for fl in flags]
-    partials = [_census_row(f, flags, mats, u) for u in range(n)]
-    return PairCensus(
-        n * (n - 1) // 2,
-        sum(p[0] for p in partials),
-        sum(p[1] for p in partials),
-        [pair for p in partials for pair in p[2]],
-        [e for p in partials for e in p[3]],
-        [m for p in partials for m in p[4]],
-    )
+    for u, fu in enumerate(flags):
+        Au = mats[u]
+        for v in range(u + 1, n):
+            rows = [
+                [sub(x, y) for x, y in zip(rb, ra)]
+                for ra, rb in zip(Au, mats[v])
+            ]
+            slots = adjacency_slots(fu, flags[v])
+            if rank_of_rows(f, rows) != 2:
+                census.rank_other += 1
+                if slots is not None:
+                    census.mismatches.append((u, v))
+                continue
+            if invariance_condition(fu, flags[v]):
+                census.adjacent_count += 1
+                census.edges.append(((u, v), slots))
+                if slots is None:
+                    census.mismatches.append((u, v))
+            else:
+                census.rank_only.append((u, v))
+                if slots is not None:
+                    census.mismatches.append((u, v))
+    return census

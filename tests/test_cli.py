@@ -4,12 +4,16 @@ Exit codes: 0 verified, 1 usage or unavailable or exhausted search,
 2 a finite backend genuinely diverges from the definite-form claim.
 """
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opgraphs.cli import main
+from opgraphs.cli import LEMMAS, main
 from opgraphs.report import stable_view
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -254,6 +258,7 @@ BAD_FILES = {
     "seed-list.json": '{"seed": [1]}',
     "dims-text.json": '{"dims": "1,y"}',
 }
+NO_DIR = "no-such-dir/report.json"    # under tmp_path, so never writable
 
 
 @pytest.mark.parametrize("argv", [
@@ -280,11 +285,28 @@ BAD_FILES = {
     ("verify-lemma", "--fixture", "flagship.json", "--lemma", "johnson-tau",
      "--budget", "0"),
     ("automorphisms", "--graph", "johnson", "--n", "1"),
-], ids=" ".join)
+    # rejected by argparse itself
+    ("enumerate", "--p", "x"),
+    ("enumerate", "--dims", "-1,4"),
+    ("verify-lemma", "--lemma", "nonsense"),
+    (),
+    # exceptions no command anticipates
+    ("components", "--fixture", "grassmann.json", "--type", "ij",
+     "--i", "0", "--j", "1"),
+    ("verify-lemma", "--fixture", "grassmann.json", "--lemma", "lift"),
+    ("verify-lemma", "--backend", "qi", "--sigma", "1,2,3", "--dims", "2,1,1",
+     "--lemma", "lift"),
+    ("counterexample", "--backend", "qi", "--sigma", "1,2,3", "--dims", "2,1,1"),
+    ("counterexample", "--backend", "qi", "--sigma", "1,2,3,4",
+     "--dims", "1,1,1,1"),
+    ("verify-lemma", "--p", "2", "--e", "1", "--sigma", "0,1", "--dims", "2,1",
+     "--lemma", "obstruction"),
+    ("enumerate", "--sigma", "0,1", "--dims", "1,2", "--out", NO_DIR),
+], ids=lambda argv: " ".join(argv) or "(no arguments)")
 def test_bad_input_ends_in_one_error_report(capsys, tmp_path, argv):
     for name, text in BAD_FILES.items():
         (tmp_path / name).write_text(text)
-    argv = [str((tmp_path if a in BAD_FILES else FIXTURES) / a)
+    argv = [str((tmp_path if a in BAD_FILES or a == NO_DIR else FIXTURES) / a)
             if a.endswith(".json") else a for a in argv]
     code = main(argv)
     rep = json.loads(capsys.readouterr().out)
@@ -292,7 +314,87 @@ def test_bad_input_ends_in_one_error_report(capsys, tmp_path, argv):
     assert rep["results"]["error"]
 
 
-def test_unknown_lemma_exits_one(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-lemma", "--lemma", "nonsense"])
-    assert exc.value.code == 1
+def test_error_reports_name_unexpected_exceptions(capsys, tmp_path):
+    out = tmp_path / "error.json"
+    code, rep = run(capsys, "components", "--fixture",
+                    str(FIXTURES / "grassmann.json"), "--type", "ij",
+                    "--i", "0", "--j", "1", "--out", str(out))
+    assert code == 1
+    assert rep["command"] == "components"
+    assert rep["results"]["error"].startswith("ValueError: ")
+    # a failed run still writes its report to a writable --out
+    assert json.loads(out.read_text()) == rep
+    code, rep = run(capsys, "counterexample", "--sigma", "0,1",
+                    "--dims", "1,2")
+    assert rep["results"]["error"].startswith("a rank-two difference")
+
+
+# An argv grammar for the fuzz below: a well-formed command line, with
+# one value replaced by a malformed one in about half of the draws.
+# Every class is GF(4) or Q(i) with its options spelled out, so no draw
+# falls back to the GF(9) defaults.  Output paths are placed in a fresh
+# directory per draw; NO_DIR there is never writable.
+MISSING = str(FIXTURES / "no-such-dir" / "missing.json")
+MALFORMED = ("x", "-1", "0", "1,x", "", MISSING)
+OUTPUTS = ("report.json", "graph.dot", "group.json", NO_DIR)
+CLASSES = [{"--p": "2", "--e": "1", "--sigma": sigma, "--dims": dims}
+           for sigma in ("0,1", "1,0") for dims in ("1,2", "2,1", "1,1")]
+CLASSES += [{"--backend": "qi", "--sigma": "1,2,3", "--dims": dims}
+            for dims in ("1,1,1", "2,1,1")]
+SLOTS = ("0", "1", "2", "5")
+COMMANDS = {    # option -> its well-formed values; None marks a flag
+    "enumerate": {"--dump-flags": (None,)},
+    "adjacency": {"--pair-file": tuple(
+        str(FIXTURES / f"pair-{name}.json")
+        for name in ("rotated", "swapped", "identical", "rank-only"))},
+    "components": {"--type": ("ij", "ibar", "global"), "--i": SLOTS,
+                   "--j": SLOTS, "--dot": ("graph.dot", NO_DIR)},
+    "automorphisms": {"--graph": ("class", "petersen", "johnson"),
+                      "--n": ("2", "4", "6"), "--compare-induced": (None,),
+                      "--budget": ("1", "3", "100000"),
+                      "--generators-out": ("group.json", NO_DIR),
+                      "--dot": ("graph.dot", NO_DIR)},
+    "verify-lemma": {"--lemma": LEMMAS, "--i": SLOTS, "--j": SLOTS,
+                     "--budget": ("1", "100000")},
+    "counterexample": {"--budget": ("0", "1", "5"),
+                       "--limit": ("0", "1", "3")},
+}
+COMMON = {"--seed": ("0", "3"), "--out": ("report.json", NO_DIR)}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    options = dict(draw(st.sampled_from(CLASSES)))
+    if command == "verify-lemma":
+        options["--samples"] = draw(st.sampled_from(("1", "5")))
+    for flag, values in {**COMMANDS[command], **COMMON}.items():
+        if draw(st.booleans()):
+            options[flag] = draw(st.sampled_from(values))
+    if draw(st.booleans()):
+        spoil = sorted(flag for flag, value in options.items()
+                       if value is not None and value not in OUTPUTS)
+        flag = draw(st.sampled_from(spoil))
+        options[flag] = draw(st.sampled_from(MALFORMED))
+    argv = [command]
+    for flag, value in draw(st.permutations(sorted(options.items()))):
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=80)
+@given(argv=argvs())
+def test_any_argv_ends_in_one_report(tmp_path_factory, argv):
+    work = tmp_path_factory.mktemp("fuzz")
+    argv = [str(work / a) if a in OUTPUTS else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    rep = json.loads(out.getvalue())
+    assert code in (0, 1, 2)
+    assert err.getvalue() == ""
+    if "error" in rep["results"]:
+        assert code == 1 and rep["results"]["error"]
+    written = work / "report.json"
+    if written.exists():
+        assert json.loads(written.read_text()) == rep
