@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 from .autgroup import automorphism_group
 from .constructions import induced_subgroup
@@ -86,6 +87,15 @@ def _at_least(low):
     return integer
 
 
+@contextmanager
+def _usage_errors():
+    """Report a `ValueError` from the field or class checks as bad input."""
+    try:
+        yield
+    except ValueError as e:
+        raise CliError(str(e)) from None
+
+
 def _load_fixture(path):
     try:
         fixture = load_json(path)
@@ -112,7 +122,9 @@ def _resolve(args):
     if backend == "qi":
         field = QI
     else:
-        field = galois_field(_integer("p", pick("p")), _integer("e", pick("e")))
+        with _usage_errors():
+            field = galois_field(_integer("p", pick("p")),
+                                 _integer("e", pick("e")))
     sigma_tokens = _tokens("sigma", pick("sigma"))
     dims = [_integer("dims", t) for t in _tokens("dims", pick("dims"))]
     seed = _integer("seed", pick("seed"))
@@ -125,9 +137,14 @@ def _resolve(args):
     return field, sigma_tokens, dims, seed, config
 
 
+def _sigma(field, sigma_tokens):
+    with _usage_errors():
+        return tuple(field.parse_fixed(t) for t in sigma_tokens)
+
+
 def _signature(field, sigma_tokens, dims):
-    sigma = tuple(field.parse_fixed(t) for t in sigma_tokens)
-    return ClassSignature(field, sigma, tuple(dims))
+    with _usage_errors():
+        return ClassSignature(field, _sigma(field, sigma_tokens), tuple(dims))
 
 
 def _check_slots(sig, *slots):
@@ -184,6 +201,16 @@ def cmd_adjacency(args):
     return config, results, EXIT_OK if match else EXIT_DIVERGENCE
 
 
+def _compare_partitions(comps, parts):
+    """Whether every component lies in one part, and whether they are equal.
+
+    Both arguments are sorted tuples of sorted vertex tuples.
+    """
+    owner = {v: t for t, part in enumerate(parts) for v in part}
+    contained = all(len({owner[v] for v in comp}) == 1 for comp in comps)
+    return contained, comps == parts
+
+
 def cmd_components(args):
     field, sigma_tokens, dims, seed, config = _resolve(args)
     sig = _signature(field, sigma_tokens, dims)
@@ -210,9 +237,7 @@ def cmd_components(args):
         config["slots"] = [i, j]
         comps = graph.ij_components(i, j)
         fibers = graph.fiber_partition(i, j)
-        owner = {v: t for t, part in enumerate(fibers) for v in part}
-        contained = all(
-            len({owner[v] for v in comp}) == 1 for comp in comps)
+        contained, equal = _compare_partitions(comps, fibers)
         results = {
             "slot_pair": [i, j],
             "component_count": len(comps),
@@ -220,27 +245,25 @@ def cmd_components(args):
             "fiber_count": len(fibers),
             "fiber_sizes": sorted({len(p) for p in fibers}),
             "every_component_in_a_fiber": contained,
-            "components_equal_fibers": comps == fibers,
+            "components_equal_fibers": equal,
             "components": partition_to_json(comps),
         }
-        if not (contained and results["components_equal_fibers"]):
+        if not (contained and equal):
             code = EXIT_DIVERGENCE
     else:  # ibar
         config["slot"] = i
         comps = graph.avoiding_components(i)
         blocks = tuple(sorted(graph.eigenspace_blocks(i).values()))
-        owner = {v: t for t, part in enumerate(blocks) for v in part}
-        contained = all(
-            len({owner[v] for v in comp}) == 1 for comp in comps)
+        contained, equal = _compare_partitions(comps, blocks)
         results = {
             "slot": i,
             "component_count": len(comps),
             "block_count": len(blocks),
             "every_component_in_a_block": contained,
-            "components_equal_blocks": comps == blocks,
+            "components_equal_blocks": equal,
             "components": partition_to_json(comps),
         }
-        if not (contained and results["components_equal_blocks"]):
+        if not (contained and equal):
             code = EXIT_DIVERGENCE
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -309,8 +332,7 @@ def cmd_verify_lemma(args):
         _check_slots(sig, args.i, args.j)
         results = verify_fiber_lift(sig, args.i, args.j)
     elif args.lemma == "swap":
-        sigma = (tuple(field.parse_fixed(t) for t in sigma_tokens)
-                 if args.sigma is not None else None)
+        sigma = _sigma(field, sigma_tokens) if args.sigma is not None else None
         results = verify_swap_lemma(field, sigma=sigma)
     elif args.lemma == "obstruction":
         sig = _signature(field, sigma_tokens, dims)
@@ -448,7 +470,7 @@ def build_parser():
     p = subs.add_parser("counterexample",
                         help="rank-two pairs that fail invariance")
     _add_common(p)
-    p.add_argument("--budget", type=int, default=200,
+    p.add_argument("--budget", type=_at_least(1), default=200,
                    help="attempt budget for the randomized search")
     p.add_argument("--limit", type=_at_least(0), default=3,
                    help="certificates to emit from an exhaustive census")

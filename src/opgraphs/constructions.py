@@ -375,19 +375,17 @@ def obstruction_witness(A: EigenFlag, i, j, t):
 def reverse_middle_flags(graph, A, B, i, j, t):
     """All vertices adjacent to A at (j, t) and to B at (i, j).
 
-    Exhaustive over the finite class; the obstruction claim is that
-    this list is empty for the constructed pair.
+    Read off the labelled edges at A; exhaustive over the finite class.
+    The obstruction claim is that this list is empty for the
+    constructed pair.
     """
     va = graph.index[A.key()]
     vb = graph.index[B.key()]
+
+    def label(u, v):
+        return graph.edge_type.get((min(u, v), max(u, v)))
+
     first = tuple(sorted((j, t)))
     second = tuple(sorted((i, j)))
-    out = []
-    for v in range(graph.n):
-        if v in (va, vb):
-            continue
-        D = graph.vertices[v]
-        if (adjacency_slots(D, A) == first
-                and adjacency_slots(D, B) == second):
-            out.append(v)
-    return out
+    return [v for v in graph.adjacency()[va]
+            if label(v, va) == first and label(v, vb) == second]

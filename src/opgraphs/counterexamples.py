@@ -21,8 +21,8 @@ from random import Random
 
 from .linalg import Matrix, Subspace, herm_form, right_kernel
 from .sampling import random_vector
-from .spectral import (ClassSignature, EigenFlag, NotInClassError,
-                       flag_from_matrix, invariance_condition, rank_condition)
+from .spectral import (EigenFlag, NotInClassError, flag_from_matrix,
+                       invariance_condition, rank_condition)
 
 
 class SearchBudgetError(RuntimeError):

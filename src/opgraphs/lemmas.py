@@ -12,19 +12,18 @@ cannot happen when the form is definite.
 
 from __future__ import annotations
 
-from itertools import combinations
 from random import Random
 
 from .constructions import (induced_subgroup, obstruction_witness,
                             reverse_middle_flags, verify_swap)
-from .graphs import (LabeledGraph, classify_type_map, induced_type_map,
-                     johnson_graph, pair_complement_map)
+from .graphs import (LabeledGraph, TypeMapError, classify_type_map,
+                     induced_type_map, johnson_graph, pair_complement_map)
 from .autgroup import automorphism_group, backtracking_order, is_automorphism
 from .linalg import Subspace, relative_orthocomplement
 from .sampling import random_flag, random_vector
 from .spectral import (ClassSignature, EigenFlag, adjacency_slots, adjacent,
                        classify_pairs, contract, coordinate_flag,
-                       enumerate_class, fiber)
+                       enumerate_class)
 
 
 def _rotated_pair_flag(sig, base, i, j, rng=None):
@@ -157,10 +156,11 @@ def verify_fiber_lift(sig, i=None, j=None):
 
     Exhaustive over a finite backend: for every adjacent pair of the
     contracted class, a lift pair is constructed when the meet of the
-    merged slots is nondegenerate, and the absence of any adjacent lift
-    pair is verified exhaustively when it is degenerate.  The
-    unconditional claim holds over a definite form, where degenerate
-    meets cannot occur, and fails over finite backends exactly on the
+    merged slots is nondegenerate.  When it is degenerate, the class
+    graph is checked to have no edge between the two fibers, a fiber
+    being the vertices with one (i, j)-contraction.  The unconditional
+    claim holds over a definite form, where degenerate meets cannot
+    occur, and fails over finite backends exactly on the
     degenerate-meet pairs.
     """
     if i is None or j is None:
@@ -193,8 +193,10 @@ def verify_fiber_lift(sig, i=None, j=None):
             "holds": ok,
         })
         return report
-    flags2 = enumerate_class(sig2)
-    graph2 = LabeledGraph.build(sig2, flags2)
+    graph = LabeledGraph.build(sig)
+    graph2 = LabeledGraph.build(sig2)
+    owner = [graph2.index[contract(flag, i, j).key()] for flag in graph.vertices]
+    lifted = {tuple(sorted((owner[u], owner[v]))) for u, v in graph.edges}
     passes = 0
     failures = 0
     exceptions = 0
@@ -206,11 +208,8 @@ def verify_fiber_lift(sig, i=None, j=None):
                 passes += 1
             else:
                 exceptions += 1
-            continue
-        # degenerate meet: confirm no adjacent pair across the fibers
-        fa = fiber(T, i, j, sig)
-        fb = fiber(S, i, j, sig)
-        if any(adjacent(Af, Bf) for Af in fa for Bf in fb):
+        # degenerate meet: no class-graph edge may join the two fibers
+        elif (u, v) in lifted:
             exceptions += 1
         else:
             failures += 1
@@ -345,7 +344,7 @@ def verify_type_action(sig=None, node_budget=2_000_000):
         for kind, data, perm in gens:
             try:
                 tau = induced_type_map(graph, perm)
-            except Exception:
+            except TypeMapError:
                 well_defined = False
                 continue
             cls, d = classify_type_map(tau, sig.k)

@@ -304,30 +304,6 @@ def contract(flag: EigenFlag, i, j) -> EigenFlag:
     return EigenFlag(new_sig, spaces, check=False)
 
 
-def fiber(T: EigenFlag, i, j, sig: ClassSignature):
-    """All flags of sig that contract to T at (i, j).  Finite backends only.
-
-    Splits the merged eigenspace W into a nondegenerate n_i-part X and its
-    relative orthocomplement; X runs over all admissible subspaces of W.
-    """
-    if not sig.field.is_finite:
-        raise ValueError("fiber enumeration requires a finite backend")
-    if T.signature != sig.contracted(i, j):
-        raise ValueError("flag does not lie in the contracted class")
-    pos = sig.slot_after_contraction(i, j)
-    W = T.spaces[pos]
-    out = []
-    for X in enumeration.nondegenerate_subspaces_within(W, sig.dims[i]):
-        R = W.intersect(X.orthocomplement())
-        if R.dim != W.dim - X.dim or not R.is_nondegenerate():
-            continue
-        spaces = list(T.spaces)
-        spaces[pos] = R
-        spaces.insert(i, X)
-        out.append(EigenFlag(sig, spaces, check=False))
-    return out
-
-
 def enumerate_class(sig: ClassSignature):
     """Every eigen-flag of the class, each exactly once.  Finite backends."""
     if not sig.field.is_finite:

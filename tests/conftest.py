@@ -15,7 +15,7 @@ from hypothesis import settings
 from opgraphs.autgroup import automorphism_group
 from opgraphs.constructions import induced_subgroup
 from opgraphs.graphs import LabeledGraph
-from opgraphs.lemmas import verify_fiber_lift, verify_obstruction_lemma
+from opgraphs.lemmas import verify_obstruction_lemma
 from opgraphs.spectral import ClassSignature, classify_pairs, enumerate_class
 from opgraphs.starfield import QI, galois_field
 
@@ -95,11 +95,6 @@ def grassmann_census(grassmann_flags):
 @pytest.fixture(scope="session")
 def grassmann_graph(grassmann_sig, grassmann_flags):
     return LabeledGraph.build(grassmann_sig, grassmann_flags)
-
-
-@pytest.fixture(scope="session")
-def lift_report_gf9(flagship_sig):
-    return verify_fiber_lift(flagship_sig)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ Exit codes: 0 verified, 1 usage or unavailable or exhausted search,
 
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -222,9 +223,10 @@ def test_counterexample_rational_search(capsys):
 
 def test_counterexample_budget_exhaustion(capsys):
     code, rep = run(capsys, "counterexample", "--backend", "qi",
-                    "--sigma", "1,2,3", "--budget", "0")
+                    "--sigma", "1,2,3", "--budget", "1")
     assert code == 1
     assert rep["results"]["outcome"] == "budget-exhausted"
+    assert rep["results"]["attempts"] == 1
 
 
 def test_counterexample_two_eigenvalues_is_vacuous(capsys):
@@ -285,6 +287,8 @@ NO_DIR = "no-such-dir/report.json"    # under tmp_path, so never writable
     ("verify-lemma", "--fixture", "flagship.json", "--lemma", "johnson-tau",
      "--budget", "0"),
     ("automorphisms", "--graph", "johnson", "--n", "1"),
+    ("counterexample", "--backend", "qi", "--sigma", "1,2,3", "--budget", "-5"),
+    ("counterexample", "--backend", "qi", "--sigma", "1,2,3", "--budget", "0"),
     # rejected by argparse itself
     ("enumerate", "--p", "x"),
     ("enumerate", "--dims", "-1,4"),
@@ -327,6 +331,21 @@ def test_error_reports_name_unexpected_exceptions(capsys, tmp_path):
     code, rep = run(capsys, "counterexample", "--sigma", "0,1",
                     "--dims", "1,2")
     assert rep["results"]["error"].startswith("a rank-two difference")
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--p", "4"),
+    ("enumerate", "--p", "2", "--e", "5"),
+    ("enumerate", "--sigma", "0,1,9"),
+    ("enumerate", "--sigma", "0,0,1"),
+    ("enumerate", "--p", "2", "--e", "1", "--sigma", "0,1", "--dims", "1,1"),
+    ("verify-lemma", "--lemma", "swap", "--backend", "qi", "--sigma", "1,2,x,4"),
+], ids=" ".join)
+def test_bad_field_or_class_is_a_usage_error(capsys, argv):
+    code, rep = run(capsys, *argv)
+    assert code == 1
+    error = rep["results"]["error"]
+    assert error and not re.match(r"\w+: ", error)   # no `<Type>: ` prefix
 
 
 # An argv grammar for the fuzz below: a well-formed command line, with

@@ -3,7 +3,7 @@ orthocomplement twist, the independent-pair swap, and the one-sided
 path obstruction."""
 
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 
@@ -318,3 +318,20 @@ def test_no_reverse_middle_exists_in_the_finite_class(flagship_graph):
     b, c = w["end"], w["middle"]
     assert c.key() in flagship_graph.index
     assert reverse_middle_flags(flagship_graph, a, b, 0, 1, 2) == []
+
+
+def test_reverse_middles_match_a_scan_of_the_class(flagship_graph):
+    graph = flagship_graph
+    a = graph.vertices[0]
+    to_a = [adjacency_slots(d, a) for d in graph.vertices]
+    nonempty = 0
+    for vb in range(0, graph.n, 7):
+        b = graph.vertices[vb]
+        to_b = [adjacency_slots(d, b) for d in graph.vertices]
+        for i, j, t in permutations(range(3)):
+            first, second = tuple(sorted((j, t))), tuple(sorted((i, j)))
+            scan = [v for v in range(graph.n) if v not in (0, vb)
+                    and to_a[v] == first and to_b[v] == second]
+            assert reverse_middle_flags(graph, a, b, i, j, t) == scan
+            nonempty += bool(scan)
+    assert nonempty == 22

@@ -8,6 +8,7 @@ pair graphs have automorphism counts 6, 48, 120.
 
 import pytest
 
+from opgraphs import lemmas
 from opgraphs.lemmas import (
     _rotated_pair_flag,
     verify_fiber_lift,
@@ -17,7 +18,7 @@ from opgraphs.lemmas import (
     verify_type_action,
 )
 from opgraphs.spectral import adjacency_slots, coordinate_flag
-from opgraphs.starfield import QI
+from opgraphs.starfield import QI, galois_field
 from tests.conftest import signature
 
 
@@ -56,9 +57,11 @@ def test_fiber_lift_pinned_over_the_rationals(qi_sig):
     assert report["holds"]
 
 
-def test_fiber_lift_splits_over_gf9(lift_report_gf9):
-    report = lift_report_gf9
+@pytest.mark.parametrize("i,j", [(2, 0), (2, 1), (0, 1), (0, 2), (1, 0), (1, 2)])
+def test_fiber_lift_splits_over_gf9(flagship_sig, i, j):
+    report = verify_fiber_lift(flagship_sig, i, j)
     assert report["mode"] == "exhaustive"
+    assert report["merged_slots"] == [i, j]
     assert report["contracted_edges"] == 1953
     assert report["liftable"] == 945
     assert report["blocked_by_degenerate_meet"] == 1008
@@ -116,3 +119,14 @@ def test_type_action_reference_layer():
         assert row["expected"] == want
         assert row["backtrack"] == want
     assert "class_graph" not in report
+
+
+def test_type_action_lets_unexpected_errors_through(monkeypatch):
+    # only an incoherent label map (TypeMapError) reads as "does not hold"
+    def broken(graph, perm):
+        raise RuntimeError("bug in the label map")
+
+    monkeypatch.setattr(lemmas, "induced_type_map", broken)
+    sig = signature(galois_field(2, 1), ("0", "1"), (1, 2))
+    with pytest.raises(RuntimeError, match="bug in the label map"):
+        verify_type_action(sig)
