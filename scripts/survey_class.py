@@ -1,7 +1,8 @@
 """Survey one finite conjugacy class end to end.
 
-Enumerates the class, classifies every unordered pair, builds the
-labeled graph, and measures the induced automorphism group against
+Enumerates the class, counts every unordered pair by adjacency verdict
+(one row, scaled by the certified transitive unitary action), builds
+the labeled graph, and measures the induced automorphism group against
 the full one.  Defaults to the three-line class over GF(9)^3.
 
     python scripts/survey_class.py
@@ -14,9 +15,9 @@ import time
 
 from opgraphs.autgroup import automorphism_group
 from opgraphs.cli import CliError, _resolve, _signature
-from opgraphs.constructions import induced_subgroup
+from opgraphs.constructions import induced_subgroup, orbit_census
 from opgraphs.graphs import LabeledGraph
-from opgraphs.spectral import classify_pairs, enumerate_class
+from opgraphs.spectral import enumerate_class
 
 
 def main():
@@ -39,13 +40,13 @@ def main():
           f"({time.perf_counter() - t0:.2f}s)")
 
     t0 = time.perf_counter()
-    census = classify_pairs(flags)
+    census = orbit_census(flags)
     print(f"pairs               {census.total}   "
           f"({time.perf_counter() - t0:.2f}s)")
     print(f"  adjacent          {census.adjacent_count}")
     print(f"  rank-only         {census.rank_only_count}")
     print(f"  rank != 2         {census.rank_other}")
-    print(f"  mismatches        {len(census.mismatches)}")
+    print(f"  mismatches        {census.mismatch_count}")
 
     graph = LabeledGraph.build(sig, flags=flags)
     degrees = sorted({len(nbrs) for nbrs in graph.adjacency()})

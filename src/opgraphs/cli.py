@@ -17,7 +17,7 @@ import time
 from contextlib import contextmanager
 
 from .autgroup import automorphism_group
-from .constructions import induced_subgroup
+from .constructions import induced_subgroup, orbit_census
 from .counterexamples import (SearchBudgetError, census_certificates,
                               find_rank_only_pair, verify_certificate)
 from .graphs import LabeledGraph, johnson_graph, petersen_graph
@@ -28,9 +28,8 @@ from .report import (EXIT_DIVERGENCE, EXIT_ERROR, EXIT_OK, build_report,
                      write_report)
 from .serialize import (adjacency_to_dot, graph_to_dot, group_to_json,
                         load_json, load_pair, partition_to_json, save_json)
-from .spectral import (ClassSignature, adjacency_slots, classify_pairs,
-                       coordinate_flag, enumerate_class,
-                       invariance_condition, rank_condition)
+from .spectral import (ClassSignature, adjacency_slots, coordinate_flag,
+                       enumerate_class, invariance_condition, rank_condition)
 from .starfield import QI, galois_field
 
 DEFAULTS = {
@@ -157,6 +156,13 @@ def _check_slots(sig, *slots):
         raise CliError(f"slot indices must be distinct, got {given}")
 
 
+def _check_contraction(sig, i, j):
+    """Slots i, j can be merged: valid, distinct, and a third slot is left."""
+    if sig.k < 3:
+        raise CliError("contraction of a two-slot signature leaves no class")
+    _check_slots(sig, i, j)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -217,7 +223,7 @@ def cmd_components(args):
     if args.type == "ij":
         i = 1 if args.i is None else args.i
         j = 2 if args.j is None else args.j
-        _check_slots(sig, i, j)
+        _check_contraction(sig, i, j)
     elif args.type == "ibar":
         i = 2 if args.i is None else args.i
         _check_slots(sig, i)
@@ -329,10 +335,15 @@ def cmd_verify_lemma(args):
         results = verify_move_equivalence(sig, samples=args.samples, seed=seed)
     elif args.lemma == "lift":
         sig = _signature(field, sigma_tokens, dims)
-        _check_slots(sig, args.i, args.j)
+        _check_contraction(sig, args.i, args.j)
         results = verify_fiber_lift(sig, args.i, args.j)
     elif args.lemma == "swap":
-        sigma = _sigma(field, sigma_tokens) if args.sigma is not None else None
+        sigma = None
+        if args.sigma is not None:
+            sigma = _sigma(field, sigma_tokens)
+            if len(set(sigma)) < 4:
+                raise CliError(
+                    "the swap move needs at least four distinct eigenvalues")
         results = verify_swap_lemma(field, sigma=sigma)
     elif args.lemma == "obstruction":
         sig = _signature(field, sigma_tokens, dims)
@@ -358,16 +369,17 @@ def cmd_counterexample(args):
     config["limit"] = args.limit
     if field.is_finite:
         flags = enumerate_class(sig)
-        census = classify_pairs(flags)
+        census = orbit_census(flags, limit=args.limit)
         results = {
             "mode": "exhaustive",
             "total_pairs": census.total,
             "adjacent_count": census.adjacent_count,
             "rank_other_count": census.rank_other,
             "rank_only_count": census.rank_only_count,
-            "condition_mismatches": len(census.mismatches),
+            "condition_mismatches": census.mismatch_count,
+            **census.work_counters(),
         }
-        if census.mismatches:
+        if census.mismatch_count:
             return config, results, EXIT_DIVERGENCE
         if census.rank_only_count == 0:
             results["outcome"] = "exhaustively none"

@@ -3,19 +3,23 @@
 Isometries of the form, automorphisms of the scalar star-field fixing
 the spectrum, and dimension-preserving slot permutations all act on a
 class; over a finite field the subgroup of the graph automorphism
-group they generate is computed exactly.  The module also carries the
-two-slot orthocomplement twist, the independent-pair swap, and the
-one-sided path obstruction.
+group they generate is computed exactly.  The transitive action of the
+isometries also reduces the pair census of a finite class to one row.
+The module also carries the two-slot orthocomplement twist, the
+independent-pair swap, and the one-sided path obstruction.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 from .autgroup import StabChain, is_automorphism
 from .linalg import Matrix, Subspace, herm_form, relative_orthocomplement
-from .spectral import EigenFlag, SdPermutation, adjacency_slots
+from .spectral import (ADJACENT, RANK_ONLY, RANK_OTHER, EigenFlag,
+                       SdPermutation, adjacency_slots, pair_verdict)
 
 
 class ConstructionError(RuntimeError):
@@ -92,6 +96,122 @@ def unitary_generators(field, n):
     return _unitary_generators_cached(field.p, field.e, n)
 
 
+def class_size(sig):
+    """|U(n,q)| / prod_i |U(d_i,q)|, the number of flags of a finite class:
+    U(n,q) is transitive on them (Witt), and the stabilizer of a flag is
+    the product of the unitary groups of its slots."""
+    q = sig.field.q
+    stabilizer = 1
+    for d in sig.dims:
+        stabilizer *= unitary_order(q, d)
+    return unitary_order(q, sig.ambient) // stabilizer
+
+
+def _linear_image(flag, M: Matrix):
+    return flag.map_spaces(
+        lambda S: S.map_rows(lambda row: tuple(M.apply(row))), check=False)
+
+
+def orbit_size(flags, generators):
+    """Size of the orbit of flags[0] under the isometries `generators`.
+
+    Raises ConstructionError when an image is not one of `flags`, so an
+    orbit as large as `flags` is the whole list.
+    """
+    by_key = {fl.key(): fl for fl in flags}
+    seen = {flags[0].key()}
+    frontier = [flags[0]]
+    while frontier:
+        grown = []
+        for flag in frontier:
+            for M in generators:
+                key = _linear_image(flag, M).key()
+                if key not in by_key:
+                    raise ConstructionError(
+                        "a generator image is not a flag of the class")
+                if key not in seen:
+                    seen.add(key)
+                    grown.append(by_key[key])
+        frontier = grown
+    return len(seen)
+
+
+@dataclass
+class OrbitCensus:
+    """Pair counts of a finite class, read off one row and scaled.
+
+    Counts are over unordered pairs, as in `spectral.PairCensus`;
+    `rank_only` holds only the first `limit` rank-only pairs.
+    """
+
+    total: int
+    rank_other: int
+    adjacent_count: int
+    rank_only_count: int
+    mismatch_count: int
+    rank_only: list          # first rank-only pairs, in (u, v) order
+    orbit_size: int
+    class_size_closed_form: int
+    pairs_classified: int    # pairs given the per-pair tests
+
+    def work_counters(self):
+        return {"orbit_size": self.orbit_size,
+                "class_size_closed_form": self.class_size_closed_form,
+                "pairs_classified": self.pairs_classified}
+
+
+def orbit_census(flags, limit=0) -> OrbitCensus:
+    """The counts of `spectral.classify_pairs` from the row of flags[0].
+
+    Conjugation by an isometry U keeps both readings of adjacency:
+    rank(U D U*) = rank D, Img(U D U*) = U Img D, and slots move to
+    slots.  When U(n,q) is transitive on the class, every row has the
+    counts of row 0, and each total is n * (row count) / 2.  Every call
+    certifies that: the orbit of flags[0] under `unitary_generators`
+    must be all n enumerated flags, and n must equal `class_size`;
+    otherwise ConstructionError is raised and nothing is scaled.
+
+    `rank_only` equals `classify_pairs(flags).rank_only[:limit]`: row 0
+    first, then rows 1, 2, ... over v > u while more pairs are wanted.
+    """
+    n = len(flags)
+    sig = flags[0].signature
+    closed = class_size(sig)
+    orbit = orbit_size(flags, unitary_generators(sig.field, sig.ambient))
+    if not orbit == n == closed:
+        raise ConstructionError(
+            f"U(n,q) is not certified transitive: the orbit of the first "
+            f"flag has {orbit} flags, the class {n}, the closed form {closed}")
+    row = Counter()
+    mismatches = 0
+    rank_only = []
+    for v in range(1, n):
+        kind, _, mismatch = pair_verdict(flags[0], flags[v])
+        row[kind] += 1
+        mismatches += mismatch
+        if kind == RANK_ONLY and len(rank_only) < limit:
+            rank_only.append((0, v))
+
+    def scaled(count):
+        if n * count % 2:
+            raise ConstructionError(
+                f"{n} flags times a row count of {count} is odd")
+        return n * count // 2
+
+    census = OrbitCensus(
+        n * (n - 1) // 2, scaled(row[RANK_OTHER]), scaled(row[ADJACENT]),
+        scaled(row[RANK_ONLY]), scaled(mismatches), rank_only, orbit, closed,
+        n - 1)
+    wanted = min(limit, census.rank_only_count)
+    later = ((u, v) for u in range(1, n) for v in range(u + 1, n))
+    while len(rank_only) < wanted:
+        u, v = next(later)
+        census.pairs_classified += 1
+        if pair_verdict(flags[u], flags[v])[0] == RANK_ONLY:
+            rank_only.append((u, v))
+    return census
+
+
 # ---------------------------------------------------------------------------
 # vertex maps of a finite class graph
 
@@ -110,10 +230,7 @@ def _graph_perm(graph, image_fn):
 def linear_vertex_map(graph, M: Matrix):
     """Vertex permutation from an invertible linear map sending the class
     into itself (slotwise images)."""
-    return _graph_perm(
-        graph,
-        lambda flag: flag.map_spaces(
-            lambda S: S.map_rows(lambda row: tuple(M.apply(row))), check=False))
+    return _graph_perm(graph, lambda flag: _linear_image(flag, M))
 
 
 def field_automorphism_vertex_map(graph, phi):

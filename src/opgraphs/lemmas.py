@@ -15,15 +15,14 @@ from __future__ import annotations
 from random import Random
 
 from .constructions import (induced_subgroup, obstruction_witness,
-                            reverse_middle_flags, verify_swap)
+                            orbit_census, reverse_middle_flags, verify_swap)
 from .graphs import (LabeledGraph, TypeMapError, classify_type_map,
                      induced_type_map, johnson_graph, pair_complement_map)
 from .autgroup import automorphism_group, backtracking_order, is_automorphism
 from .linalg import Subspace, relative_orthocomplement
 from .sampling import random_flag, random_vector
 from .spectral import (ClassSignature, EigenFlag, adjacency_slots, adjacent,
-                       classify_pairs, contract, coordinate_flag,
-                       enumerate_class)
+                       contract, coordinate_flag, enumerate_class)
 
 
 def _rotated_pair_flag(sig, base, i, j, rng=None):
@@ -85,19 +84,20 @@ def _rotated_pair_flag(sig, base, i, j, rng=None):
 
 def verify_move_equivalence(sig, samples=40, seed=0):
     """Rank-two-with-invariance versus two-slot move, on every pair of a
-    finite class or on seeded samples over the rationals."""
+    finite class (read off one row by `orbit_census`) or on seeded
+    samples over the rationals."""
     report = {"lemma": "a1a2-equiv", "field": sig.field.descriptor(),
               "signature": sig.to_json()}
     if sig.field.is_finite:
-        flags = enumerate_class(sig)
-        census = classify_pairs(flags)
+        census = orbit_census(enumerate_class(sig))
         report.update({
             "mode": "exhaustive",
             "pairs": census.total,
             "adjacent": census.adjacent_count,
             "rank_without_invariance": census.rank_only_count,
-            "mismatches": len(census.mismatches),
-            "holds": not census.mismatches,
+            "mismatches": census.mismatch_count,
+            "holds": not census.mismatch_count,
+            **census.work_counters(),
         })
         return report
     rng = Random(seed)

@@ -318,6 +318,25 @@ def enumerate_class(sig: ClassSignature):
     return tuple(flags)
 
 
+RANK_OTHER, ADJACENT, RANK_ONLY = "rank_other", "adjacent", "rank_only"
+
+
+def pair_verdict(a: EigenFlag, b: EigenFlag):
+    """Both readings of adjacency on one pair, computed independently.
+
+    Returns (kind, slots, mismatch): kind is RANK_OTHER when rank(B - A)
+    is not 2, ADJACENT when the invariance condition also holds and
+    RANK_ONLY when it fails; slots is `adjacency_slots(a, b)`, and
+    mismatch says whether the two readings disagree.
+    """
+    slots = adjacency_slots(a, b)
+    if not rank_condition(a, b):
+        return RANK_OTHER, slots, slots is not None
+    if invariance_condition(a, b):
+        return ADJACENT, slots, slots is None
+    return RANK_ONLY, slots, slots is not None
+
+
 @dataclass
 class PairCensus:
     """Dual classification of every unordered pair of a flag list."""
@@ -339,35 +358,22 @@ def classify_pairs(flags) -> PairCensus:
 
     Every pair gets both verdicts computed independently; a disagreement
     lands in `mismatches` (none are expected, the tests assert so).
+    This brute-force census is the test oracle of
+    `constructions.orbit_census`, which reads the same counts off one row.
     """
     flags = list(flags)
     n = len(flags)
     census = PairCensus(n * (n - 1) // 2, 0, 0, [], [], [])
-    if n == 0:
-        return census
-    f = flags[0].signature.field
-    sub = f.sub
-    mats = [fl.matrix().rows for fl in flags]
     for u, fu in enumerate(flags):
-        Au = mats[u]
         for v in range(u + 1, n):
-            rows = [
-                [sub(x, y) for x, y in zip(rb, ra)]
-                for ra, rb in zip(Au, mats[v])
-            ]
-            slots = adjacency_slots(fu, flags[v])
-            if rank_of_rows(f, rows) != 2:
+            kind, slots, mismatch = pair_verdict(fu, flags[v])
+            if kind == RANK_OTHER:
                 census.rank_other += 1
-                if slots is not None:
-                    census.mismatches.append((u, v))
-                continue
-            if invariance_condition(fu, flags[v]):
+            elif kind == ADJACENT:
                 census.adjacent_count += 1
                 census.edges.append(((u, v), slots))
-                if slots is None:
-                    census.mismatches.append((u, v))
             else:
                 census.rank_only.append((u, v))
-                if slots is not None:
-                    census.mismatches.append((u, v))
+            if mismatch:
+                census.mismatches.append((u, v))
     return census

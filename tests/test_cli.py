@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opgraphs import constructions
 from opgraphs.cli import LEMMAS, main
 from opgraphs.report import stable_view
 
@@ -155,6 +156,8 @@ def test_verify_lemma_a1a2_equiv(capsys):
     assert res["holds"]
     assert res["pairs"] == 71253
     assert res["mismatches"] == 0
+    assert res["orbit_size"] == res["class_size_closed_form"] == 378
+    assert res["pairs_classified"] == 377
 
 
 def test_verify_lemma_lift_diverges_on_gf9(capsys):
@@ -208,6 +211,30 @@ def test_counterexample_exhaustive_on_gf9(capsys):
     assert res["condition_mismatches"] == 0
     assert len(res["certificates"]) == 3
     assert all(c["ok"] for c in res["verification"])
+
+
+@pytest.mark.parametrize("limit, pairs_classified", [(3, 377), (200, 477)])
+def test_counterexample_counts_its_work(capsys, limit, pairs_classified):
+    code, rep = run(capsys, "counterexample", "--limit", str(limit))
+    assert code == 0
+    res = rep["results"]
+    assert res["orbit_size"] == res["class_size_closed_form"] == 378
+    assert res["pairs_classified"] == pairs_classified
+    assert len(res["certificates"]) == limit
+
+
+@pytest.mark.parametrize("argv", [
+    ("counterexample",),
+    ("verify-lemma", "--lemma", "a1a2-equiv"),
+], ids=" ".join)
+def test_uncertified_transitivity_is_an_error_report(capsys, monkeypatch, argv):
+    first = constructions.unitary_generators
+    monkeypatch.setattr(constructions, "unitary_generators",
+                        lambda field, n: first(field, n)[:1])
+    code, rep = run(capsys, *argv)
+    assert code == 1
+    assert rep["results"]["error"].startswith(
+        "ConstructionError: U(n,q) is not certified transitive")
 
 
 def test_counterexample_rational_search(capsys):
@@ -295,9 +322,6 @@ NO_DIR = "no-such-dir/report.json"    # under tmp_path, so never writable
     ("verify-lemma", "--lemma", "nonsense"),
     (),
     # exceptions no command anticipates
-    ("components", "--fixture", "grassmann.json", "--type", "ij",
-     "--i", "0", "--j", "1"),
-    ("verify-lemma", "--fixture", "grassmann.json", "--lemma", "lift"),
     ("verify-lemma", "--backend", "qi", "--sigma", "1,2,3", "--dims", "2,1,1",
      "--lemma", "lift"),
     ("counterexample", "--backend", "qi", "--sigma", "1,2,3", "--dims", "2,1,1"),
@@ -318,14 +342,18 @@ def test_bad_input_ends_in_one_error_report(capsys, tmp_path, argv):
     assert rep["results"]["error"]
 
 
-def test_error_reports_name_unexpected_exceptions(capsys, tmp_path):
+def test_error_reports_name_unexpected_exceptions(capsys, tmp_path,
+                                                  monkeypatch):
+    def broken(sig):
+        raise ValueError("enumeration failed")
+
+    monkeypatch.setattr("opgraphs.cli.enumerate_class", broken)
     out = tmp_path / "error.json"
-    code, rep = run(capsys, "components", "--fixture",
-                    str(FIXTURES / "grassmann.json"), "--type", "ij",
-                    "--i", "0", "--j", "1", "--out", str(out))
+    code, rep = run(capsys, "enumerate", "--sigma", "0,1", "--dims", "1,2",
+                    "--out", str(out))
     assert code == 1
-    assert rep["command"] == "components"
-    assert rep["results"]["error"].startswith("ValueError: ")
+    assert rep["command"] == "enumerate"
+    assert rep["results"]["error"] == "ValueError: enumeration failed"
     # a failed run still writes its report to a writable --out
     assert json.loads(out.read_text()) == rep
     code, rep = run(capsys, "counterexample", "--sigma", "0,1",
@@ -340,8 +368,13 @@ def test_error_reports_name_unexpected_exceptions(capsys, tmp_path):
     ("enumerate", "--sigma", "0,0,1"),
     ("enumerate", "--p", "2", "--e", "1", "--sigma", "0,1", "--dims", "1,1"),
     ("verify-lemma", "--lemma", "swap", "--backend", "qi", "--sigma", "1,2,x,4"),
+    ("verify-lemma", "--lemma", "swap", "--sigma", "0,1,2"),
+    ("verify-lemma", "--fixture", "grassmann.json", "--lemma", "lift"),
+    ("components", "--fixture", "grassmann.json", "--type", "ij",
+     "--i", "0", "--j", "1"),
 ], ids=" ".join)
 def test_bad_field_or_class_is_a_usage_error(capsys, argv):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
     code, rep = run(capsys, *argv)
     assert code == 1
     error = rep["results"]["error"]

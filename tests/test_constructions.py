@@ -1,12 +1,13 @@
 """Maps into class graphs: isometries, field maps, slot moves, the
-orthocomplement twist, the independent-pair swap, and the one-sided
-path obstruction."""
+orbit-reduced pair census, the orthocomplement twist, the
+independent-pair swap, and the one-sided path obstruction."""
 
 from fractions import Fraction
 from itertools import islice, permutations
 
 import pytest
 
+from opgraphs import constructions
 from opgraphs.autgroup import is_automorphism
 from opgraphs.constructions import (
     ConstructionError,
@@ -17,6 +18,7 @@ from opgraphs.constructions import (
     is_isometry,
     linear_vertex_map,
     obstruction_witness,
+    orbit_census,
     reverse_middle_flags,
     sd_generators,
     sd_group_order,
@@ -30,7 +32,9 @@ from opgraphs.constructions import (
 )
 from opgraphs.graphs import LabeledGraph
 from opgraphs.linalg import Matrix, Subspace
-from opgraphs.spectral import EigenFlag, SdPermutation, adjacency_slots, coordinate_flag
+from opgraphs.spectral import (EigenFlag, SdPermutation, adjacency_slots,
+                               classify_pairs, coordinate_flag,
+                               enumerate_class)
 from opgraphs.starfield import QI, galois_field
 from tests.conftest import signature
 
@@ -105,6 +109,61 @@ def test_isometry_generators_are_frozen_and_generate(char, n, rows, order):
                 seen.add(p.rows)
                 frontier.append(p)
     assert len(seen) == order
+
+
+def assert_census_matches_oracle(flags, oracle, limit):
+    census = orbit_census(flags, limit=limit)
+    assert (census.total, census.rank_other, census.adjacent_count,
+            census.rank_only_count, census.mismatch_count) == (
+        oracle.total, oracle.rank_other, oracle.adjacent_count,
+        oracle.rank_only_count, len(oracle.mismatches))
+    assert census.rank_only == oracle.rank_only[:limit]
+    assert census.orbit_size == census.class_size_closed_form == len(flags)
+    return census
+
+
+@pytest.mark.parametrize("limit", [0, 3, 200])
+def test_orbit_census_matches_the_oracle_on_flagship(
+        flagship_flags, flagship_census, limit):
+    # row 0 holds 176 rank-only pairs, so limit 200 reads on into row 1
+    assert sum(1 for u, _ in flagship_census.rank_only if u == 0) == 176
+    census = assert_census_matches_oracle(
+        flagship_flags, flagship_census, limit)
+    if limit <= 176:
+        assert census.pairs_classified == 377
+    else:
+        assert census.pairs_classified > 377
+        assert census.rank_only[-1][0] == 1
+
+
+def test_orbit_census_matches_the_oracle_on_grassmann(
+        grassmann_flags, grassmann_census):
+    assert_census_matches_oracle(grassmann_flags, grassmann_census, 3)
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 2)], ids=["GF(4)^3", "GF(4)^4"])
+def test_orbit_census_matches_the_oracle_over_gf4(dims):
+    flags = enumerate_class(signature(galois_field(2, 1), ("0", "1"), dims))
+    assert_census_matches_oracle(flags, classify_pairs(flags), 3)
+
+
+@pytest.mark.parametrize("attribute, value", [
+    ("unitary_generators", lambda field, n: unitary_generators(field, n)[:1]),
+    ("class_size", lambda sig: 379),
+], ids=["one-generator", "wrong-closed-form"])
+def test_orbit_census_refuses_to_scale_uncertified(
+        flagship_flags, monkeypatch, attribute, value):
+    monkeypatch.setattr(constructions, attribute, value)
+    with pytest.raises(ConstructionError, match="not certified transitive"):
+        orbit_census(flagship_flags)
+
+
+def test_orbit_census_rejects_images_outside_the_class(flagship_flags, f9):
+    shear = Matrix(f9, ((f9.one, f9.one, f9.zero),
+                        (f9.zero, f9.one, f9.zero),
+                        (f9.zero, f9.zero, f9.one)))
+    with pytest.raises(ConstructionError, match="not a flag of the class"):
+        constructions.orbit_size(flagship_flags, [shear])
 
 
 def test_linear_vertex_maps_from_isometries(flagship_graph, f9):
