@@ -13,7 +13,7 @@ import argparse
 import sys
 from itertools import combinations
 
-from opgraphs.cli import CliError, _resolve, _signature
+from opgraphs.cli import CliError, _compare_partitions, _resolve, _signature
 from opgraphs.graphs import LabeledGraph
 
 
@@ -45,11 +45,10 @@ def main():
                   f"no fibers (two slots)")
             continue
         fibers = graph.fiber_partition(i, j)
-        owner = {v: t for t, part in enumerate(fibers) for v in part}
-        inside = all(len({owner[v] for v in c}) == 1 for c in comps)
+        inside, equal = _compare_partitions(comps, fibers)
         print(f"pair ({i},{j}): components {partition_profile(comps)}; "
               f"fibers {partition_profile(fibers)}; "
-              f"inside={inside} equal={comps == fibers}")
+              f"inside={inside} equal={equal}")
 
     for i in range(k):
         comps = graph.avoiding_components(i)

@@ -10,7 +10,7 @@ induced graph automorphisms.
 __version__ = "0.1.0"
 
 from .starfield import QI, GaloisStarField, galois_field
-from .linalg import Matrix, Subspace, HermitianSpace, herm_form
+from .linalg import Matrix, Subspace, herm_form
 from .spectral import ClassSignature, EigenFlag, adjacent, adjacency_slots
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "galois_field",
     "Matrix",
     "Subspace",
-    "HermitianSpace",
     "herm_form",
     "ClassSignature",
     "EigenFlag",

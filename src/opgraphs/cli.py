@@ -17,7 +17,7 @@ import time
 from contextlib import contextmanager
 
 from .autgroup import automorphism_group
-from .constructions import induced_subgroup, orbit_census
+from .constructions import induced_order, induced_subgroup, orbit_census
 from .counterexamples import (SearchBudgetError, census_certificates,
                               find_rank_only_pair, verify_certificate)
 from .graphs import LabeledGraph, johnson_graph, petersen_graph
@@ -302,13 +302,15 @@ def cmd_automorphisms(args):
         return config, results, code
 
     field, sigma_tokens, dims, seed, config = _resolve(args)
-    graph = LabeledGraph.build(_signature(field, sigma_tokens, dims))
+    sig = _signature(field, sigma_tokens, dims)
+    graph = LabeledGraph.build(sig)
     results = {"vertex_count": graph.n, "edge_count": len(graph.edges)}
     known = ()
     if args.compare_induced:
         chain_ind, gens = induced_subgroup(graph)
         known = [perm for _, _, perm in gens]
         results["induced_order"] = str(chain_ind.order())
+        results["induced_order_closed_form"] = str(induced_order(sig))
         results["induced_generator_count"] = len(gens)
         results["induced_generators_verified"] = True
     chain = automorphism_group(

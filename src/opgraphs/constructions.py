@@ -1,12 +1,14 @@
 """Natural vertex maps of class graphs and the groups they generate.
 
-Isometries of the form, automorphisms of the scalar star-field fixing
-the spectrum, and dimension-preserving slot permutations all act on a
-class; over a finite field the subgroup of the graph automorphism
-group they generate is computed exactly.  The transitive action of the
-isometries also reduces the pair census of a finite class to one row.
-The module also carries the two-slot orthocomplement twist, the
-independent-pair swap, and the one-sided path obstruction.
+The natural maps of a class are the semilinear isometries x -> M phi(x)
+(M an isometry of the form, phi a star-field automorphism) applied to
+every slot, and the dimension-preserving slot permutations.  Over a
+finite field the subgroup of the graph automorphism group they generate
+is computed exactly and certified against its closed-form order.  The
+transitive action of the isometries also reduces the pair census of a
+finite class to one row.  The module also carries the two-slot
+orthocomplement twist, the independent-pair swap, and the one-sided
+path obstruction.
 """
 
 from __future__ import annotations
@@ -67,10 +69,11 @@ def unitary_group(field, n):
 
 
 @lru_cache(maxsize=None)
-def _unitary_generators_cached(p, e, n):
-    from .starfield import galois_field
-
-    field = galois_field(p, e)
+def unitary_generators(field, n):
+    """A small deterministic generating set: the isometries in row order
+    that enlarge the group generated so far, certified against
+    |U(n,q)|."""
+    isometries = unitary_group(field, n)
     # the norm-one vectors include the standard basis, so the action on
     # them is faithful
     points = _norm_one_vectors(field, n)
@@ -78,22 +81,13 @@ def _unitary_generators_cached(p, e, n):
     chain = StabChain(len(points))
     target = unitary_order(field.q, n)
     gens = []
-    for M in unitary_group(field, n):
+    for M in isometries:
         if chain.add(tuple(index[tuple(M.apply(v))] for v in points)):
             gens.append(M)
             if chain.order() == target:
                 return tuple(gens)
     raise ConstructionError(
         f"isometries generate order {chain.order()}, expected {target}")
-
-
-def unitary_generators(field, n):
-    """A small deterministic generating set: the isometries in row order
-    that enlarge the group generated so far, certified against
-    |U(n,q)|."""
-    if not field.is_finite:
-        raise ConstructionError("isometry enumeration needs a finite star-field")
-    return _unitary_generators_cached(field.p, field.e, n)
 
 
 def class_size(sig):
@@ -107,9 +101,26 @@ def class_size(sig):
     return unitary_order(q, sig.ambient) // stabilizer
 
 
-def _linear_image(flag, M: Matrix):
+def semilinear_image(flag, M: Matrix, phi):
+    """The flag with every row r of every slot sent to M phi(r), slot
+    labels kept.  Isometries pass the identity automorphism for phi,
+    field automorphisms the identity matrix for M."""
     return flag.map_spaces(
-        lambda S: S.map_rows(lambda row: tuple(M.apply(row))), check=False)
+        lambda S: S.map_rows(
+            lambda row: tuple(M.apply(tuple(phi(x) for x in row)))),
+        check=False)
+
+
+def _graph_perm(flags, index, image_fn):
+    """The permutation v -> index of image_fn(flags[v]), where `index`
+    maps each flag key to its position in `flags`."""
+    out = []
+    for flag in flags:
+        v = index.get(image_fn(flag).key())
+        if v is None:
+            raise ConstructionError("an image is not a flag of the class")
+        out.append(v)
+    return tuple(out)
 
 
 def orbit_size(flags, generators):
@@ -118,21 +129,19 @@ def orbit_size(flags, generators):
     Raises ConstructionError when an image is not one of `flags`, so an
     orbit as large as `flags` is the whole list.
     """
-    by_key = {fl.key(): fl for fl in flags}
-    seen = {flags[0].key()}
-    frontier = [flags[0]]
+    id_map = flags[0].signature.field.automorphisms()[0]
+    index = {fl.key(): v for v, fl in enumerate(flags)}
+    perms = [_graph_perm(flags, index,
+                         lambda flag, M=M: semilinear_image(flag, M, id_map))
+             for M in generators]
+    seen = {0}
+    frontier = [0]
     while frontier:
-        grown = []
-        for flag in frontier:
-            for M in generators:
-                key = _linear_image(flag, M).key()
-                if key not in by_key:
-                    raise ConstructionError(
-                        "a generator image is not a flag of the class")
-                if key not in seen:
-                    seen.add(key)
-                    grown.append(by_key[key])
-        frontier = grown
+        v = frontier.pop()
+        for perm in perms:
+            if perm[v] not in seen:
+                seen.add(perm[v])
+                frontier.append(perm[v])
     return len(seen)
 
 
@@ -216,39 +225,17 @@ def orbit_census(flags, limit=0) -> OrbitCensus:
 # vertex maps of a finite class graph
 
 
-def _graph_perm(graph, image_fn):
-    out = []
-    for flag in graph.vertices:
-        img = image_fn(flag)
-        v = graph.index.get(img.key())
-        if v is None:
-            raise ConstructionError("image flag is not a vertex of the class")
-        out.append(v)
-    return tuple(out)
-
-
-def linear_vertex_map(graph, M: Matrix):
-    """Vertex permutation from an invertible linear map sending the class
-    into itself (slotwise images)."""
-    return _graph_perm(graph, lambda flag: _linear_image(flag, M))
-
-
-def field_automorphism_vertex_map(graph, phi):
-    """Vertex permutation from a star-field automorphism fixing the spectrum."""
-    sig = graph.vertices[0].signature
-    for a in sig.sigma:
-        if phi(a) != a:
-            raise ConstructionError("field automorphism moves an eigenvalue")
-    return _graph_perm(
-        graph,
-        lambda flag: flag.map_spaces(
-            lambda S: S.map_rows(lambda row: tuple(phi(x) for x in row)),
-            check=False))
+def semilinear_vertex_map(graph, M: Matrix, phi):
+    """Vertex permutation from x -> M phi(x) applied to every slot; the
+    image of each vertex must be a vertex."""
+    return _graph_perm(graph.vertices, graph.index,
+                       lambda flag: semilinear_image(flag, M, phi))
 
 
 def slot_permutation_vertex_map(graph, delta: SdPermutation):
     """Vertex permutation from a dimension-preserving slot relabeling."""
-    return _graph_perm(graph, lambda flag: flag.permute_slots(delta))
+    return _graph_perm(graph.vertices, graph.index,
+                       lambda flag: flag.permute_slots(delta))
 
 
 def sd_generators(sig):
@@ -266,6 +253,7 @@ def sd_generators(sig):
 
 
 def sd_group_order(sig):
+    """|S_d|, the number of slot permutations that keep dimensions."""
     out = 1
     by_dim = {}
     for d in sig.dims:
@@ -276,33 +264,48 @@ def sd_group_order(sig):
     return out
 
 
+def induced_order(sig):
+    """|PGammaU(n,q)| * |S_d| = |U(n,q)| / (q+1) * 2e * |S_d|.
+
+    The q+1 scalars of norm one fix every subspace and the Galois group
+    of GF(q^2) has order 2e.  Slotwise semilinear maps commute with slot
+    permutations and meet them only in the identity, so the orders
+    multiply.
+    """
+    field = sig.field
+    return (unitary_order(field.q, sig.ambient) // (field.q + 1)
+            * field.degree * sd_group_order(sig))
+
+
 def induced_generators(graph):
     """Labeled vertex permutations of the natural maps.
 
-    Isometry generators, the nontrivial star-field automorphisms fixing
-    the spectrum, and slot-permutation generators.  Returns a list of
-    (kind, data, perm) triples.
+    Isometry generators (phi the identity), every non-identity
+    star-field automorphism (M the identity), and slot-permutation
+    generators.  Returns a list of (kind, data, perm) triples.
     """
     sig = graph.vertices[0].signature
     field = sig.field
-    out = []
-    for M in unitary_generators(field, sig.ambient):
-        out.append(("isometry", M.rows, linear_vertex_map(graph, M)))
-    for phi in field.automorphisms():
-        if phi.name == "id":
-            continue
-        if any(phi(a) != a for a in sig.sigma):
-            continue
-        out.append(("field-automorphism", phi.name,
-                    field_automorphism_vertex_map(graph, phi)))
-    for delta in sd_generators(sig):
-        out.append(("slot-permutation", delta.images,
-                    slot_permutation_vertex_map(graph, delta)))
+    id_map, *galois = field.automorphisms()
+    id_matrix = Matrix.identity(field, sig.ambient)
+    out = [("isometry", M.rows, semilinear_vertex_map(graph, M, id_map))
+           for M in unitary_generators(field, sig.ambient)]
+    out += [("field-automorphism", phi.name,
+             semilinear_vertex_map(graph, id_matrix, phi)) for phi in galois]
+    out += [("slot-permutation", delta.images,
+             slot_permutation_vertex_map(graph, delta))
+            for delta in sd_generators(sig)]
     return out
 
 
 def induced_subgroup(graph):
-    """Stabilizer chain of the group the natural maps generate."""
+    """Stabilizer chain of the group the natural maps generate.
+
+    Certified on every call: the graph must hold the whole class
+    (`class_size`) and the chain order must equal `induced_order`;
+    otherwise ConstructionError is raised.
+    """
+    sig = graph.vertices[0].signature
     adj = graph.adjacency()
     chain = StabChain(graph.n)
     gens = induced_generators(graph)
@@ -310,6 +313,14 @@ def induced_subgroup(graph):
         if not is_automorphism(adj, perm):
             raise ConstructionError(f"{kind} map failed the automorphism check")
         chain.add(perm)
+    closed = class_size(sig)
+    if graph.n != closed:
+        raise ConstructionError(
+            f"the graph has {graph.n} vertices, the class {closed}")
+    want = induced_order(sig)
+    if chain.order() != want:
+        raise ConstructionError(
+            f"the natural maps generate order {chain.order()}, expected {want}")
     return chain, gens
 
 
@@ -345,24 +356,14 @@ def chow_vertex_map(graph, M: Matrix):
     map everywhere (which happens exactly when M respects
     orthogonality on the class).
     """
-    sig = graph.vertices[0].signature
-    field = sig.field
-    perm = []
-    witness = None
-    for v, flag in enumerate(graph.vertices):
-        img = chow_image(flag, M)
-        w = graph.index.get(img.key())
-        if w is None:
-            raise ConstructionError("twisted image is not a vertex of the class")
-        perm.append(w)
-        if witness is None:
-            slot2 = Subspace(field, sig.ambient,
-                             [tuple(M.apply(r)) for r in flag.spaces[1].rows])
-            if slot2 != img.spaces[1]:
-                witness = v
-    perm = tuple(perm)
+    perm = _graph_perm(graph.vertices, graph.index,
+                       lambda flag: chow_image(flag, M))
     if len(set(perm)) != len(perm):
         raise ConstructionError("twist is not injective on the class")
+    witness = next(
+        (v for v, flag in enumerate(graph.vertices)
+         if flag.spaces[1].map_rows(lambda r: tuple(M.apply(r)))
+         != graph.vertices[perm[v]].spaces[1]), None)
     return perm, witness
 
 

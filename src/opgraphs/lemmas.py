@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from random import Random
 
-from .constructions import (induced_subgroup, obstruction_witness,
-                            orbit_census, reverse_middle_flags, verify_swap)
+from .constructions import (induced_order, induced_subgroup,
+                            obstruction_witness, orbit_census,
+                            reverse_middle_flags, verify_swap)
 from .graphs import (LabeledGraph, TypeMapError, classify_type_map,
                      induced_type_map, johnson_graph, pair_complement_map)
 from .autgroup import automorphism_group, backtracking_order, is_automorphism
@@ -357,6 +358,7 @@ def verify_type_action(sig=None, node_budget=2_000_000):
         report["class_graph"] = {
             "signature": sig.to_json(),
             "induced_order": chain.order(),
+            "induced_order_closed_form": str(induced_order(sig)),
             "automorphism_order": full.order(),
             "generators": label_maps,
         }

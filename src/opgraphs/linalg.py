@@ -16,8 +16,6 @@ nondegenerate input raise ``DegenerateSubspaceError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class DegenerateSubspaceError(ValueError):
     """A subspace required to be nondegenerate meets its orthocomplement."""
@@ -514,19 +512,3 @@ def is_invariant(matrix_rows, field, subspace):
         subspace.contains_vector(matvec(field, matrix_rows, row))
         for row in subspace.rows
     )
-
-
-@dataclass(frozen=True)
-class HermitianSpace:
-    """Ambient space F^dim with the standard hermitian form, dim >= 3."""
-
-    field: object
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 3:
-            raise ValueError("hermitian spaces here have dimension >= 3")
-
-    def standard_basis_vector(self, i):
-        z, o = self.field.zero, self.field.one
-        return tuple(o if j == i else z for j in range(self.dim))

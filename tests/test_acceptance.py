@@ -19,6 +19,7 @@ from opgraphs.autgroup import (
 )
 from opgraphs.cli import main
 from opgraphs.constructions import (
+    semilinear_vertex_map,
     slot_permutation_vertex_map,
     unitary_generators,
 )
@@ -215,16 +216,14 @@ def test_criterion_08_induced_automorphisms(
         f9, flagship_graph, flagship_groups, acceptance):
     adj = flagship_graph.adjacency()
     checked = 0
+    identity = f9.automorphisms()[0]
     for m in unitary_generators(f9, 3):
-        from opgraphs.constructions import linear_vertex_map
-
-        assert is_automorphism(adj, linear_vertex_map(flagship_graph, m))
+        assert is_automorphism(
+            adj, semilinear_vertex_map(flagship_graph, m, identity))
         checked += 1
     frob = next(phi for phi in f9.automorphisms() if phi.name != "id")
-    from opgraphs.constructions import field_automorphism_vertex_map
-
     assert is_automorphism(
-        adj, field_automorphism_vertex_map(flagship_graph, frob))
+        adj, semilinear_vertex_map(flagship_graph, Matrix.identity(f9, 3), frob))
     checked += 1
     for images in permutations(range(3)):
         perm = slot_permutation_vertex_map(

@@ -13,15 +13,16 @@ from opgraphs.constructions import (
     ConstructionError,
     chow_image,
     chow_vertex_map,
-    field_automorphism_vertex_map,
     induced_generators,
+    induced_order,
+    induced_subgroup,
     is_isometry,
-    linear_vertex_map,
     obstruction_witness,
     orbit_census,
     reverse_middle_flags,
     sd_generators,
     sd_group_order,
+    semilinear_vertex_map,
     slot_permutation_vertex_map,
     swap_flag,
     unitary_generators,
@@ -167,8 +168,9 @@ def test_orbit_census_rejects_images_outside_the_class(flagship_flags, f9):
 
 
 def test_linear_vertex_maps_from_isometries(flagship_graph, f9):
+    identity = f9.automorphisms()[0]
     for m in unitary_generators(f9, 3):
-        perm = linear_vertex_map(flagship_graph, m)
+        perm = semilinear_vertex_map(flagship_graph, m, identity)
         assert sorted(perm) == list(range(flagship_graph.n))
         assert is_automorphism(flagship_graph.adjacency(), perm)
 
@@ -178,33 +180,33 @@ def test_linear_vertex_map_rejects_non_isometries(flagship_graph, f9):
                         (f9.zero, f9.one, f9.zero),
                         (f9.zero, f9.zero, f9.one)))
     assert not is_isometry(f9, shear)
-    with pytest.raises(ConstructionError):
-        linear_vertex_map(flagship_graph, shear)
+    with pytest.raises(ConstructionError, match="not a flag of the class"):
+        semilinear_vertex_map(flagship_graph, shear, f9.automorphisms()[0])
 
 
 def test_field_automorphism_vertex_map(flagship_graph, f9):
     frob = next(phi for phi in f9.automorphisms() if phi.name != "id")
-    perm = field_automorphism_vertex_map(flagship_graph, frob)
+    perm = semilinear_vertex_map(flagship_graph, Matrix.identity(f9, 3), frob)
     assert is_automorphism(flagship_graph.adjacency(), perm)
     # applying it twice gives the identity: x -> x^9 = x
     n = flagship_graph.n
     assert tuple(perm[perm[v]] for v in range(n)) == tuple(range(n))
 
 
-def test_field_automorphism_must_fix_the_spectrum(f16):
-    # eigenvalues inside GF(4) but outside GF(2) move under x -> x^2
+def test_field_automorphisms_moving_the_spectrum_act_too(f16):
+    # eigenvalues inside GF(4) but outside GF(2) move under x -> x^2,
+    # yet applied slotwise, slot labels kept, it maps the class onto itself
     w = f16.fixed_elements()[2]
     sig = signature(f16, ("0", "2"), (1, 2))
     assert sig.sigma[1] == w
     graph = LabeledGraph.build(sig)
     assert graph.n == 208  # 273 lines, 65 isotropic
-    moving = next(phi for phi in f16.automorphisms() if phi(w) != w)
-    with pytest.raises(ConstructionError):
-        field_automorphism_vertex_map(graph, moving)
-    fixing = [phi for phi in f16.automorphisms()
-              if phi.name != "id" and phi(w) == w]
-    for phi in fixing:
-        perm = field_automorphism_vertex_map(graph, phi)
+    galois = f16.automorphisms()[1:]
+    assert len(galois) == 3
+    assert any(phi(w) != w for phi in galois)
+    for phi in galois:
+        perm = semilinear_vertex_map(graph, Matrix.identity(f16, 3), phi)
+        assert sorted(perm) == list(range(graph.n))
         assert is_automorphism(graph.adjacency(), perm)
 
 
@@ -239,13 +241,40 @@ def test_induced_generator_inventory(flagship_graph, flagship_groups):
     assert chain_ind.order() == 72576
 
 
-def test_induced_generators_keep_only_spectrum_fixing_field_maps(flagship_groups, f9):
+def test_induced_generators_take_every_galois_map(flagship_groups, f9):
     _, gens, _ = flagship_groups
     names = [data for kind, data, _ in gens if kind == "field-automorphism"]
-    frob = next(phi for phi in f9.automorphisms() if phi.name != "id")
-    assert names == [frob.name]
-    for a in (f9.parse_fixed("0"), f9.parse_fixed("1"), f9.parse_fixed("2")):
-        assert frob(a) == a
+    assert names == [phi.name for phi in f9.automorphisms()[1:]] == ["frob^1"]
+
+
+@pytest.mark.parametrize("p, e, sigma, dims, order, generators", [
+    (3, 1, ("0", "1", "2"), (1, 1, 1), 72576, 10),
+    (3, 1, ("0", "1"), (1, 2), 12096, 8),
+    (2, 1, ("0", "1"), (1, 2), 432, 6),
+    (2, 1, ("0", "1"), (1, 3), 51840, 7),
+    (2, 1, ("0", "1"), (2, 2), 103680, 8),
+    (2, 2, ("0", "2"), (1, 2), 249600, 8),
+], ids=["GF(9)^3 1,1,1", "GF(9)^3 1,2", "GF(4)^3 1,2", "GF(4)^4 1,3",
+        "GF(4)^4 2,2", "GF(16)^3 1,2"])
+def test_induced_order_matches_the_closed_form(
+        p, e, sigma, dims, order, generators):
+    sig = signature(galois_field(p, e), sigma, dims)
+    assert induced_order(sig) == order
+    chain, gens = induced_subgroup(LabeledGraph.build(sig))
+    assert chain.order() == order
+    assert len(gens) == generators
+
+
+@pytest.mark.parametrize("attribute, value, message", [
+    ("unitary_generators", lambda field, n: unitary_generators(field, n)[:1],
+     "natural maps generate order"),
+    ("class_size", lambda sig: 64, "the class 64"),
+], ids=["one-generator", "wrong-class-size"])
+def test_induced_subgroup_refuses_to_certify(
+        grassmann_graph, monkeypatch, attribute, value, message):
+    monkeypatch.setattr(constructions, attribute, value)
+    with pytest.raises(ConstructionError, match=message):
+        induced_subgroup(grassmann_graph)
 
 
 def test_chow_image_twists_the_second_slot():
@@ -295,7 +324,8 @@ def test_chow_vertex_map_with_unitary_agrees_slotwise(grassmann_graph, f9):
     assert is_isometry(f9, m)
     perm, witness = chow_vertex_map(grassmann_graph, m)
     assert witness is None
-    assert perm == linear_vertex_map(grassmann_graph, m)
+    assert perm == semilinear_vertex_map(grassmann_graph, m,
+                                         f9.automorphisms()[0])
     assert is_automorphism(grassmann_graph.adjacency(), perm)
 
 
