@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import permutations
+from operator import itemgetter
 
 
 class BudgetExceededError(RuntimeError):
@@ -26,7 +27,10 @@ def identity_perm(n):
 
 def compose(p, q):
     """Apply q first, then p."""
-    return tuple(p[x] for x in q)
+    if len(q) < 2:
+        # itemgetter needs an index, and returns a bare item for one
+        return tuple(p[x] for x in q)
+    return itemgetter(*q)(p)
 
 
 def inverse(p):
@@ -65,16 +69,26 @@ def is_automorphism(adjlist, perm, masks=None):
 class StabChain:
     """Deterministic incremental Schreier-Sims stabilizer chain.
 
+    `orbits[l][x]` holds the inverse u_x^-1 of the transversal element
+    u_x that sends base[l] to x, so sifting composes and never inverts.
     Transversal entries are never rewritten once discovered, so the
     per-level record of already-verified Schreier generators stays
     valid as the chain grows.
+
+    `known_order`, when given, must be an upper bound on the order of
+    the group the added elements generate.  The product of the basic
+    orbit lengths is a lower bound at every stage, so once it reaches
+    `known_order` the chain is a complete base and strong generating
+    set and closure stops there.
     """
 
-    def __init__(self, n, base=()):
+    def __init__(self, n, base=(), known_order=None):
         self.n = n
         self.identity = identity_perm(n)
+        self.known_order = known_order
         self.base = list(base)
         self.gens = [[] for _ in self.base]
+        self.gens_inv = [[] for _ in self.base]
         self.orbits = [{b: self.identity} for b in self.base]
         self._done = [set() for _ in self.base]
 
@@ -87,15 +101,15 @@ class StabChain:
     def _extend_orbit(self, l):
         """Grow the level-l orbit in place under the current generators."""
         tr = self.orbits[l]
-        gens = self.gens[l]
+        pairs = list(zip(self.gens[l], self.gens_inv[l]))
         frontier = list(tr)
         while frontier:
             x = frontier.pop()
             tx = tr[x]
-            for g in gens:
+            for g, g_inv in pairs:
                 y = g[x]
                 if y not in tr:
-                    tr[y] = compose(g, tx)
+                    tr[y] = compose(tx, g_inv)
                     frontier.append(y)
 
     def strip(self, g):
@@ -104,7 +118,7 @@ class StabChain:
             tr = self.orbits[l]
             if x not in tr:
                 return g, l
-            g = compose(inverse(tr[x]), g)
+            g = compose(tr[x], g)
         return g, len(self.base)
 
     def contains(self, g):
@@ -117,10 +131,13 @@ class StabChain:
             moved = min(x for x in range(self.n) if h[x] != x)
             self.base.append(moved)
             self.gens.append([])
+            self.gens_inv.append([])
             self.orbits.append({moved: self.identity})
             self._done.append(set())
+        h_inv = inverse(h)
         for k in range(l + 1):
             self.gens[k].append(h)
+            self.gens_inv[k].append(h_inv)
 
     def add(self, g):
         """Extend the chain with g; returns True when the group grew."""
@@ -136,24 +153,29 @@ class StabChain:
 
         Every (orbit point, generator) pair is checked at most once per
         level; residuals that fail to strip become new generators and
-        the scan restarts from the deepest level.
+        the scan restarts from the deepest level.  Stops early once the
+        order reaches `known_order`.
         """
         level = min(start, len(self.base) - 1)
         while level >= 0:
             self._extend_orbit(level)
+            if (self.known_order is not None
+                    and self.order() >= self.known_order):
+                return
             tr = self.orbits[level]
             gens = self.gens[level]
             done = self._done[level]
             dirty = False
             for x in sorted(tr):
-                tx = tr[x]
+                tx = None
                 for gi in range(len(gens)):
                     if (x, gi) in done:
                         continue
                     done.add((x, gi))
+                    if tx is None:
+                        tx = inverse(tr[x])
                     s = gens[gi]
-                    y = s[x]
-                    schreier = compose(inverse(tr[y]), compose(s, tx))
+                    schreier = compose(tr[s[x]], compose(s, tx))
                     if schreier == self.identity:
                         continue
                     h, hl = self.strip(schreier)
@@ -200,7 +222,10 @@ def refine_colors(adjlist, colors):
             sigs.append((colors[v], tuple(sorted(cnt.items()))))
         order = {s: k for k, s in enumerate(sorted(set(sigs)))}
         new = [order[s] for s in sigs]
-        if new == colors:
+        # each round refines the last, so an equal cell count means an
+        # equal (hence equitable) partition, and one more round would
+        # return `new` unchanged
+        if len(order) == len(set(colors)):
             return new
         colors = new
 

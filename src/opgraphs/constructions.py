@@ -78,8 +78,10 @@ def unitary_generators(field, n):
     # them is faithful
     points = _norm_one_vectors(field, n)
     index = {v: i for i, v in enumerate(points)}
-    chain = StabChain(len(points))
     target = unitary_order(field.q, n)
+    # below the target the chain closes fully, so `add` reports growth
+    # exactly as without the stop
+    chain = StabChain(len(points), known_order=target)
     gens = []
     for M in isometries:
         if chain.add(tuple(index[tuple(M.apply(v))] for v in points)):
@@ -307,7 +309,10 @@ def induced_subgroup(graph):
     """
     sig = graph.vertices[0].signature
     adj = graph.adjacency()
-    chain = StabChain(graph.n)
+    # the natural maps act through GammaU(n,q) x S_d with the scalars
+    # trivial, so `induced_order` bounds the group and may stop the chain
+    want = induced_order(sig)
+    chain = StabChain(graph.n, known_order=want)
     gens = induced_generators(graph)
     for kind, data, perm in gens:
         if not is_automorphism(adj, perm):
@@ -317,7 +322,6 @@ def induced_subgroup(graph):
     if graph.n != closed:
         raise ConstructionError(
             f"the graph has {graph.n} vertices, the class {closed}")
-    want = induced_order(sig)
     if chain.order() != want:
         raise ConstructionError(
             f"the natural maps generate order {chain.order()}, expected {want}")

@@ -357,9 +357,9 @@ def verify_type_action(sig=None, node_budget=2_000_000):
             })
         report["class_graph"] = {
             "signature": sig.to_json(),
-            "induced_order": chain.order(),
+            "induced_order": str(chain.order()),
             "induced_order_closed_form": str(induced_order(sig)),
-            "automorphism_order": full.order(),
+            "automorphism_order": str(full.order()),
             "generators": label_maps,
         }
         ok = ok and well_defined and all(

@@ -6,9 +6,10 @@ cross-checked against an independent exhaustive counter.
 """
 
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opgraphs.autgroup import (
@@ -32,22 +33,27 @@ from opgraphs.graphs import (
     petersen_graph,
 )
 
-perms6 = st.permutations(list(range(6))).map(tuple)
+
+def perms(n):
+    return st.permutations(list(range(n))).map(tuple)
 
 
 def test_permutation_laws():
-    @given(perms6, perms6, perms6)
-    def run(p, q, r):
-        e = identity_perm(6)
-        assert compose(p, e) == p
-        assert compose(e, p) == p
-        assert compose(p, inverse(p)) == e
-        assert compose(inverse(p), p) == e
-        assert compose(compose(p, q), r) == compose(p, compose(q, r))
-        # compose applies the right factor first
-        assert all(compose(p, q)[x] == p[q[x]] for x in range(6))
+    # n = 0 and 1 take compose's fallback; itemgetter starts at n = 2
+    for n in (0, 1, 2, 6):
+        @given(perms(n), perms(n), perms(n))
+        def run(p, q, r):
+            e = identity_perm(n)
+            assert compose(p, e) == p
+            assert compose(e, p) == p
+            assert compose(p, inverse(p)) == e
+            assert compose(inverse(p), p) == e
+            assert compose(compose(p, q), r) == compose(p, compose(q, r))
+            # compose applies the right factor first
+            assert all(compose(p, q)[x] == p[q[x]] for x in range(n))
+            assert type(compose(p, q)) is tuple
 
-    run()
+        run()
 
 
 def test_is_automorphism_basics():
@@ -157,3 +163,87 @@ def test_refine_colors_separates_degrees():
     pet = petersen_graph()
     colors = refine_colors(pet.adjlist, [0] * 10)
     assert len(set(colors)) == 1  # vertex-transitive: refinement alone stalls
+
+
+def closure(n, gens):
+    """Every element of the group the permutations generate, by BFS."""
+    seen = {identity_perm(n)}
+    queue = list(seen)
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = compose(g, x)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
+@st.composite
+def small_groups(draw):
+    n = draw(st.integers(1, 7))
+    gens = draw(st.lists(perms(n), min_size=1, max_size=3))
+    probes = draw(st.lists(perms(n), max_size=6))
+    return n, gens, probes
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups())
+def test_stabchain_matches_bfs_closure(group):
+    n, gens, probes = group
+    elements = closure(n, gens)
+    plain = StabChain(n)
+    stopped = StabChain(n, known_order=len(elements))
+    for g in gens:
+        plain.add(g)
+        stopped.add(g)
+    assert plain.order() == stopped.order() == len(elements)
+    for chain in (plain, stopped):
+        # orbits hold inverse transversal elements: u_x^-1 sends x to
+        # the base point and fixes the earlier base points
+        for l, tr in enumerate(chain.orbits):
+            for x, t in tr.items():
+                assert t[x] == chain.base[l]
+                assert all(t[b] == b for b in chain.base[:l])
+        assert all(chain.contains(g) for g in elements)
+        for p in probes:
+            assert chain.contains(p) == (p in elements)
+
+
+def refine_to_fixpoint(adjlist, colors):
+    """The refinement loop that stops only on a repeated colouring; the
+    oracle for `refine_colors`, which stops one round earlier."""
+    n = len(adjlist)
+    colors = list(colors)
+    while True:
+        sigs = []
+        for v in range(n):
+            cnt = Counter(colors[u] for u in adjlist[v])
+            sigs.append((colors[v], tuple(sorted(cnt.items()))))
+        order = {s: k for k, s in enumerate(sorted(set(sigs)))}
+        new = [order[s] for s in sigs]
+        if new == colors:
+            return new
+        colors = new
+
+
+@st.composite
+def colored_graphs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    colors = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        colors[draw(st.integers(0, n - 1))] = -1   # individualised
+    return tuple(tuple(sorted(a)) for a in adj), colors
+
+
+@settings(max_examples=200, deadline=None)
+@given(colored_graphs())
+def test_refine_colors_matches_the_fixpoint_loop(graph):
+    adjlist, colors = graph
+    assert refine_colors(adjlist, colors) == refine_to_fixpoint(adjlist, colors)

@@ -4,6 +4,7 @@ Exit codes: 0 verified, 1 usage or unavailable or exhausted search,
 2 a finite backend genuinely diverges from the definite-form claim.
 """
 
+import hashlib
 import io
 import json
 import re
@@ -147,6 +148,27 @@ def test_automorphisms_compare_induced_on_flagship(capsys):
     assert res["induced_generator_count"] == 10
     assert res["index_of_induced"] == 1
     assert res["induced_equals_full"] is True
+
+
+# SHA-256 of `automorphisms --generators-out` files, pinned so that a
+# faster chain or refinement cannot change which generators are found
+GENERATOR_FILES = [
+    (("--p", "2", "--e", "1", "--sigma", "0,1", "--dims", "2,2"),
+     "52ca8e0cf40a6a6d9aa87885422498771b92c338da8662d93aab110f94904629"),
+    (("--fixture", str(FIXTURES / "flagship.json"), "--compare-induced"),
+     "c06838f960be9be4b5754644b4b2db53b6572a84227304acb5b3fee416445210"),
+    (("--p", "2", "--e", "1", "--sigma", "0,1", "--dims", "1,3"),
+     "b9f37b68f7681f15cb344648cd8f57cab9af63a0da6e042241c1986d72ea3d50"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GENERATOR_FILES,
+                         ids=["GF(4)^4 2,2", "flagship compare-induced", "K40"])
+def test_generator_files_are_pinned(capsys, tmp_path, argv, digest):
+    out = tmp_path / "group.json"
+    code, _ = run(capsys, "automorphisms", *argv, "--generators-out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_verify_lemma_a1a2_equiv(capsys):

@@ -8,12 +8,11 @@ from itertools import islice, permutations
 import pytest
 
 from opgraphs import constructions
-from opgraphs.autgroup import is_automorphism
+from opgraphs.autgroup import StabChain, is_automorphism
 from opgraphs.constructions import (
     ConstructionError,
     chow_image,
     chow_vertex_map,
-    induced_generators,
     induced_order,
     induced_subgroup,
     is_isometry,
@@ -33,7 +32,7 @@ from opgraphs.constructions import (
 )
 from opgraphs.graphs import LabeledGraph
 from opgraphs.linalg import Matrix, Subspace
-from opgraphs.spectral import (EigenFlag, SdPermutation, adjacency_slots,
+from opgraphs.spectral import (EigenFlag, adjacency_slots,
                                classify_pairs, coordinate_flag,
                                enumerate_class)
 from opgraphs.starfield import QI, galois_field
@@ -263,6 +262,22 @@ def test_induced_order_matches_the_closed_form(
     chain, gens = induced_subgroup(LabeledGraph.build(sig))
     assert chain.order() == order
     assert len(gens) == generators
+
+
+@pytest.mark.parametrize("p, e, sigma, dims", [
+    (3, 1, ("0", "1", "2"), (1, 1, 1)),
+    (2, 1, ("0", "1"), (2, 2)),
+    (2, 2, ("0", "2"), (1, 2)),
+], ids=["GF(9)^3 1,1,1", "GF(4)^4 2,2", "GF(16)^3 1,2"])
+def test_known_order_stop_matches_the_full_closure(p, e, sigma, dims):
+    graph = LabeledGraph.build(signature(galois_field(p, e), sigma, dims))
+    chain, gens = induced_subgroup(graph)
+    full = StabChain(graph.n)
+    for _, _, perm in gens:
+        full.add(perm)
+    assert full.order() == chain.order() == induced_order(
+        graph.vertices[0].signature)
+    assert all(chain.contains(g) for g in full.generators())
 
 
 @pytest.mark.parametrize("attribute, value, message", [

@@ -121,6 +121,12 @@ def test_type_action_reference_layer():
     assert "class_graph" not in report
 
 
+def test_type_action_reports_orders_as_strings(flagship_sig):
+    graph = verify_type_action(flagship_sig)["class_graph"]
+    assert (graph["induced_order"] == graph["induced_order_closed_form"]
+            == graph["automorphism_order"] == "72576")
+
+
 def test_type_action_lets_unexpected_errors_through(monkeypatch):
     # only an incoherent label map (TypeMapError) reads as "does not hold"
     def broken(graph, perm):
