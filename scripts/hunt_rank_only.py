@@ -42,7 +42,7 @@ def main():
         w = cert["rank_witness"]
         status = "verified" if check["ok"] else "REJECTED"
         print(f"seed {seed}: {status}  minor rows {w['rows']} cols {w['cols']}"
-              f"  det {w['determinant'][0]}+{w['determinant'][1]}i")
+              f"  det {QI.format(QI.scalar_from_json(w['determinant']))}")
         hits += check["ok"]
     print(f"{hits}/{args.seeds} seeds produced a verified pair")
 

@@ -146,6 +146,12 @@ def _signature(field, sigma_tokens, dims):
         return ClassSignature(field, _sigma(field, sigma_tokens), tuple(dims))
 
 
+def _require_finite(field):
+    """Class enumeration, and so every class graph, needs a finite field."""
+    if not field.is_finite:
+        raise CliError("class enumeration requires a finite backend")
+
+
 def _check_slots(sig, *slots):
     """Given slot indices must be in range and distinct."""
     given = [s for s in slots if s is not None]
@@ -169,6 +175,7 @@ def _check_contraction(sig, i, j):
 
 def cmd_enumerate(args):
     field, sigma_tokens, dims, seed, config = _resolve(args)
+    _require_finite(field)
     flags = enumerate_class(_signature(field, sigma_tokens, dims))
     results = {"vertex_count": len(flags)}
     if args.dump_flags:
@@ -219,6 +226,7 @@ def _compare_partitions(comps, parts):
 
 def cmd_components(args):
     field, sigma_tokens, dims, seed, config = _resolve(args)
+    _require_finite(field)
     sig = _signature(field, sigma_tokens, dims)
     if args.type == "ij":
         i = 1 if args.i is None else args.i
@@ -302,6 +310,7 @@ def cmd_automorphisms(args):
         return config, results, code
 
     field, sigma_tokens, dims, seed, config = _resolve(args)
+    _require_finite(field)
     sig = _signature(field, sigma_tokens, dims)
     graph = LabeledGraph.build(sig)
     results = {"vertex_count": graph.n, "edge_count": len(graph.edges)}
@@ -393,6 +402,9 @@ def cmd_counterexample(args):
         results["verification"] = checks
         ok = all(c["ok"] for c in checks)
         return config, results, EXIT_OK if ok else EXIT_DIVERGENCE
+    if sig.dims != (1, 1, 1):
+        raise CliError(
+            "the targeted perturbation needs three one-dimensional slots")
     base = coordinate_flag(sig)
     try:
         found, cert = find_rank_only_pair(

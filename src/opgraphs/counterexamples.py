@@ -101,8 +101,8 @@ def perturbation_from_vector(flag: EigenFlag, v):
                 Dr = Dr + Dk.scale(ck)
         if Dr == Matrix.zero(f, 3):
             continue
-        alpha = (Am @ Dr).trace()[0]
-        beta = (Dr @ Dr).trace()[0]
+        alpha = f.real((Am @ Dr).trace())
+        beta = f.real((Dr @ Dr).trace())
         if alpha == 0 or beta == 0:
             continue
         B = Am + Dr.scale(f.scalar(-2 * alpha / beta, 0))

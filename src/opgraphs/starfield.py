@@ -2,9 +2,13 @@
 
 Two backends are provided:
 
-* ``QI``, the Gaussian rationals: scalars are pairs ``(re, im)`` of
-  ``fractions.Fraction`` with conjugation ``a+bi -> a-bi``.  The fixed
-  subfield is QQ.
+* ``QI``, the Gaussian rationals: a scalar is an int triple
+  ``(re, im, den)`` standing for ``(re + im*i)/den``, kept canonical
+  (``den > 0``, ``gcd(re, im, den) == 1``) so that equal scalars are
+  equal tuples.  Each operation is a few integer products and one gcd;
+  ``fractions.Fraction`` appears only at the boundary (``scalar``,
+  ``real``, ``imag``, JSON and ``format``).  Conjugation is
+  ``a+bi -> a-bi`` and the fixed subfield is QQ.
 * ``GaloisStarField(p, e)``, the finite field GF(q^2) with q = p^e and
   the involution ``x -> x**q``.  Scalars are ints in ``range(q*q)``
   encoding coefficient vectors of polynomials over GF(p) in base p
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 # Full addition/multiplication tables are built per finite field; this
 # caps the field size so the tables stay small.
@@ -51,61 +56,85 @@ class FieldAutomorphism:
 
 # ── Gaussian rationals ──────────────────────────────────────────────
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+def _reduced(re, im, den):
+    """The canonical triple for (re + im*i)/den, given den > 0."""
+    g = gcd(re, im, den)
+    if g == 1:
+        return (re, im, den)
+    return (re // g, im // g, den // g)
 
 
 class GaussianRationals:
-    """QQ(i) with complex conjugation.  Scalars: (Fraction, Fraction)."""
+    """QQ(i) with complex conjugation.
+
+    Scalars: int triples (re, im, den), den > 0, gcd(re, im, den) = 1.
+    """
 
     name = "qi"
     is_finite = False
     characteristic = 0
 
     def __init__(self):
-        self.zero = (_F0, _F0)
-        self.one = (_F1, _F0)
+        self.zero = (0, 0, 1)
+        self.one = (1, 0, 1)
 
     def add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
+        a, b, d = x
+        c, e, f = y
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     def sub(self, x, y):
-        return (x[0] - y[0], x[1] - y[1])
+        a, b, d = x
+        c, e, f = y
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def neg(self, x):
-        return (-x[0], -x[1])
+        return (-x[0], -x[1], x[2])
 
     def mul(self, x, y):
-        a, b = x
-        c, d = y
-        return (a * c - b * d, a * d + b * c)
+        a, b, d = x
+        c, e, f = y
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     def inv(self, x):
-        a, b = x
+        a, b, d = x
         n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return (a / n, -b / n)
+        return _reduced(d * a, -d * b, n)
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
 
     def conj(self, x):
-        return (x[0], -x[1])
+        return (x[0], -x[1], x[2])
 
     def is_fixed(self, x):
         return x[1] == 0
 
+    def real(self, x):
+        return Fraction(x[0], x[2])
+
+    def imag(self, x):
+        return Fraction(x[1], x[2])
+
     def from_int(self, n):
-        return (Fraction(n), _F0)
+        return (n, 0, 1)
 
     def scalar(self, re, im=0):
-        return (Fraction(re), Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        return _reduced(re.numerator * im.denominator,
+                        im.numerator * re.denominator,
+                        re.denominator * im.denominator)
 
     def parse_fixed(self, text):
         """Parse a rational string like '3/2' into a fixed scalar."""
         try:
-            return (Fraction(text), _F0)
+            return self.scalar(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise StarFieldError(f"not a rational literal: {text!r}") from exc
 
@@ -116,7 +145,7 @@ class GaussianRationals:
         )
 
     def format(self, x):
-        re, im = x
+        re, im = self.real(x), self.imag(x)
         if im == 0:
             return str(re)
         if re == 0:
@@ -125,11 +154,11 @@ class GaussianRationals:
         return f"{re}{sign}{abs(im)}i"
 
     def scalar_to_json(self, x):
-        return [str(x[0]), str(x[1])]
+        return [str(self.real(x)), str(self.imag(x))]
 
     def scalar_from_json(self, obj):
         re, im = obj
-        return (Fraction(re), Fraction(im))
+        return self.scalar(re, im)
 
     def descriptor(self):
         return {"kind": "qi"}

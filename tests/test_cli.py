@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from opgraphs import constructions
 from opgraphs.cli import LEMMAS, main
-from opgraphs.report import stable_view
+from opgraphs.report import canonical_json, stable_view
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -270,6 +270,32 @@ def test_counterexample_rational_search(capsys):
     assert res["certificate"]["rank_witness"]["determinant"] == ["-936/27637", "0"]
 
 
+# SHA-256 of the stable view of Q(i) reports, pinned so that a change
+# of the scalar representation cannot move a single byte of them
+QI_REPORTS = [
+    (("counterexample", "--fixture", "qi3.json", "--seed", "0"),
+     "72a928723426bbba503d99a04745b54b3ec56ac1c5f25e62e42cdcfe52cb5616"),
+    (("counterexample", "--fixture", "qi3.json", "--seed", "3"),
+     "5124627288350b2dcf2e42a723ced4fc37777350f3c40c503220d6a972be9558"),
+    (("verify-lemma", "--fixture", "qi3.json", "--lemma", "a1a2-equiv",
+      "--samples", "40", "--seed", "0"),
+     "167bc84f2c37dfedba21ad0c0f8841d25a1fc8e4829b3ee8b4a3d005141cd913"),
+    (("adjacency", "--pair-file", "pair-rank-only.json"),
+     "3ba407a44bd422e2935c684a68ac717ebafed0bcb95c3a5920e8837741228055"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", QI_REPORTS,
+                         ids=["counterexample seed 0", "counterexample seed 3",
+                              "a1a2-equiv", "adjacency rank-only"])
+def test_qi_reports_are_pinned(capsys, argv, digest):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    code, rep = run(capsys, *argv)
+    assert code == 0
+    stable = canonical_json(stable_view(rep))
+    assert hashlib.sha256(stable.encode()).hexdigest() == digest
+
+
 def test_counterexample_budget_exhaustion(capsys):
     code, rep = run(capsys, "counterexample", "--backend", "qi",
                     "--sigma", "1,2,3", "--budget", "1")
@@ -346,9 +372,6 @@ NO_DIR = "no-such-dir/report.json"    # under tmp_path, so never writable
     # exceptions no command anticipates
     ("verify-lemma", "--backend", "qi", "--sigma", "1,2,3", "--dims", "2,1,1",
      "--lemma", "lift"),
-    ("counterexample", "--backend", "qi", "--sigma", "1,2,3", "--dims", "2,1,1"),
-    ("counterexample", "--backend", "qi", "--sigma", "1,2,3,4",
-     "--dims", "1,1,1,1"),
     ("verify-lemma", "--p", "2", "--e", "1", "--sigma", "0,1", "--dims", "2,1",
      "--lemma", "obstruction"),
     ("enumerate", "--sigma", "0,1", "--dims", "1,2", "--out", NO_DIR),
@@ -394,6 +417,12 @@ def test_error_reports_name_unexpected_exceptions(capsys, tmp_path,
     ("verify-lemma", "--fixture", "grassmann.json", "--lemma", "lift"),
     ("components", "--fixture", "grassmann.json", "--type", "ij",
      "--i", "0", "--j", "1"),
+    ("enumerate", "--backend", "qi", "--sigma", "1,2,3"),
+    ("components", "--backend", "qi", "--sigma", "1,2,3"),
+    ("automorphisms", "--backend", "qi", "--sigma", "1,2,3"),
+    ("counterexample", "--backend", "qi", "--sigma", "1,2,3", "--dims", "2,1,1"),
+    ("counterexample", "--backend", "qi", "--sigma", "1,2,3,4",
+     "--dims", "1,1,1,1"),
 ], ids=" ".join)
 def test_bad_field_or_class_is_a_usage_error(capsys, argv):
     argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]

@@ -30,7 +30,7 @@ f9_matrices = st.lists(f9_vectors, min_size=3, max_size=3).map(
 )
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-qi_scalars = st.tuples(rationals, rationals)
+qi_scalars = st.tuples(rationals, rationals).map(lambda t: QI.scalar(*t))
 qi_vectors = st.lists(qi_scalars, min_size=3, max_size=3).map(tuple)
 
 

@@ -1,6 +1,7 @@
 """Scalar backends: exact arithmetic, the involution, automorphisms."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,8 @@ F9 = galois_field(3, 1)
 F16 = galois_field(2, 2)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=8)
-qi_scalars = st.tuples(rationals, rationals)
+fraction_pairs = st.tuples(rationals, rationals)
+qi_scalars = fraction_pairs.map(lambda t: QI.scalar(*t))
 f9_scalars = st.sampled_from(list(F9.elements()))
 f16_scalars = st.sampled_from(list(F16.elements()))
 
@@ -64,14 +66,84 @@ def test_involution(name):
 
 def test_qi_scalar_layout():
     x = QI.scalar(Fraction(3, 2), Fraction(-1, 4))
-    assert x == (Fraction(3, 2), Fraction(-1, 4))
-    assert QI.conj(x) == (Fraction(3, 2), Fraction(1, 4))
+    assert x == (6, -1, 4)
+    assert QI.conj(x) == (6, 1, 4)
+    assert (QI.real(x), QI.imag(x)) == (Fraction(3, 2), Fraction(-1, 4))
+    assert type(QI.real(x)) is Fraction and type(QI.imag(x)) is Fraction
+    assert QI.zero == (0, 0, 1) and QI.one == (1, 0, 1)
     i = QI.scalar(0, 1)
     assert QI.mul(i, i) == QI.neg(QI.one)
     assert not QI.is_fixed(i)
-    assert QI.parse_fixed("3/2") == QI.scalar(Fraction(3, 2))
+    assert QI.parse_fixed("3/2") == QI.scalar(Fraction(3, 2)) == (3, 0, 2)
     with pytest.raises(StarFieldError):
         QI.parse_fixed("nonsense")
+
+
+# Q(i) arithmetic on (Fraction, Fraction) pairs: the independent
+# reference that the integer-triple scalars must match.
+def _ref_mul(x, y):
+    a, b = x
+    c, d = y
+    return (a * c - b * d, a * d + b * c)
+
+
+def _ref_inv(x):
+    a, b = x
+    n = a * a + b * b
+    return (a / n, -b / n)
+
+
+def _ref_format(x):
+    re, im = x
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    sign = "+" if im > 0 else "-"
+    return f"{re}{sign}{abs(im)}i"
+
+
+REFERENCE_BINARY = {
+    "add": lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    "sub": lambda x, y: (x[0] - y[0], x[1] - y[1]),
+    "mul": _ref_mul,
+}
+REFERENCE_UNARY = {
+    "neg": lambda x: (-x[0], -x[1]),
+    "conj": lambda x: (x[0], -x[1]),
+}
+
+
+def _is_canonical(x):
+    re, im, den = x
+    return (all(type(t) is int for t in x) and den > 0
+            and gcd(re, im, den) == 1)
+
+
+@given(fraction_pairs, fraction_pairs)
+def test_qi_arithmetic_matches_fraction_pairs(p, r):
+    x, y = QI.scalar(*p), QI.scalar(*r)
+    assert _is_canonical(x)
+    assert (QI.real(x), QI.imag(x)) == p
+    results = {}
+    for name, ref in REFERENCE_BINARY.items():
+        results[name] = (getattr(QI, name)(x, y), ref(p, r))
+    for name, ref in REFERENCE_UNARY.items():
+        results[name] = (getattr(QI, name)(x), ref(p))
+    if r == (0, 0):
+        for op in (QI.inv, lambda z: QI.div(x, z)):
+            with pytest.raises(ZeroDivisionError):
+                op(y)
+    else:
+        results["inv"] = (QI.inv(y), _ref_inv(r))
+        results["div"] = (QI.div(x, y), _ref_mul(p, _ref_inv(r)))
+    for name, (got, want) in results.items():
+        assert _is_canonical(got), name
+        assert got == QI.scalar(*want), name
+    assert QI.is_fixed(x) == (p[1] == 0)
+    assert QI.scalar_to_json(x) == [str(p[0]), str(p[1])]
+    assert QI.format(x) == _ref_format(p)
+    assert QI.scalar_from_json(QI.scalar_to_json(x)) == x
 
 
 def test_fixed_subfield_sizes():
