@@ -288,6 +288,8 @@ def cmd_components(args):
 def cmd_automorphisms(args):
     code = EXIT_OK
     if args.graph in ("petersen", "johnson"):
+        if args.compare_induced:
+            raise CliError("--compare-induced needs --graph class")
         if args.graph == "petersen":
             g = petersen_graph()
             config = {"graph": "petersen"}
@@ -346,6 +348,8 @@ def cmd_verify_lemma(args):
         results = verify_move_equivalence(sig, samples=args.samples, seed=seed)
     elif args.lemma == "lift":
         sig = _signature(field, sigma_tokens, dims)
+        if (args.i is None) != (args.j is None):
+            raise CliError("lift takes both --i and --j, or neither")
         _check_contraction(sig, args.i, args.j)
         results = verify_fiber_lift(sig, args.i, args.j)
     elif args.lemma == "swap":

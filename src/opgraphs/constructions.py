@@ -7,8 +7,8 @@ finite field the subgroup of the graph automorphism group they generate
 is computed exactly and certified against its closed-form order.  The
 transitive action of the isometries also reduces the pair census of a
 finite class to one row.  The module also carries the two-slot
-orthocomplement twist, the independent-pair swap, and the one-sided
-path obstruction.
+orthocomplement twist, the tilt scan that proposes two-slot moves, the
+independent-pair swap, and the one-sided path obstruction.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from functools import lru_cache
 from itertools import product
 
 from .autgroup import StabChain, is_automorphism
-from .linalg import Matrix, Subspace, herm_form, relative_orthocomplement
+from .linalg import Matrix, Subspace, herm_form
 from .spectral import (ADJACENT, RANK_ONLY, RANK_OTHER, EigenFlag,
-                       SdPermutation, adjacency_slots, pair_verdict)
+                       SdPermutation, pair_verdict)
 
 
 class ConstructionError(RuntimeError):
@@ -340,15 +340,13 @@ def chow_image(flag: EigenFlag, M: Matrix) -> EigenFlag:
     mapped first slot stays nondegenerate.  Raises ConstructionError
     when it degenerates.
     """
-    sig = flag.signature
-    if sig.k != 2:
+    if flag.signature.k != 2:
         raise ConstructionError("the orthocomplement twist needs exactly two slots")
-    X1 = flag.spaces[0]
-    img = Subspace(sig.field, sig.ambient,
-                   [tuple(M.apply(r)) for r in X1.rows])
+    img = flag.spaces[0].map_rows(lambda r: tuple(M.apply(r)))
     if not img.is_nondegenerate():
         raise ConstructionError("mapped first slot is degenerate")
-    return EigenFlag(sig, (img, img.orthocomplement()))
+    # `move` gives None only when the image is the old first slot
+    return flag.move(0, 1, img) or flag
 
 
 def chow_vertex_map(graph, M: Matrix):
@@ -372,7 +370,27 @@ def chow_vertex_map(graph, M: Matrix):
 
 
 # ---------------------------------------------------------------------------
-# independent-pair swap
+# two-slot moves: candidates, the independent-pair swap, the obstruction
+
+
+def tilts(flag: EigenFlag, i, j):
+    """Slot i with its last basis row tilted toward the first row of
+    slot j, one space per nonzero slope, in a fixed order: every field
+    element on a finite backend, the slopes 1, 2, 1+i, 1-i, 3 over Q(i).
+
+    Each space shares a hyperplane with slot i, so a successful
+    `flag.move(i, j, space)` is adjacent to `flag` at (i, j).
+    """
+    field = flag.signature.field
+    Xi, w = flag.spaces[i], flag.spaces[j].rows[0]
+    slopes = (field.elements() if field.is_finite
+              else [field.scalar(1), field.scalar(2), field.scalar(1, 1),
+                    field.scalar(1, -1), field.scalar(3)])
+    for lam in slopes:
+        if lam != field.zero:
+            tilted = tuple(field.add(a, field.mul(lam, b))
+                           for a, b in zip(Xi.rows[-1], w))
+            yield Subspace(field, Xi.ambient, Xi.rows[:-1] + (tilted,))
 
 
 def swap_flag(A: EigenFlag, B: EigenFlag, pair1, pair2) -> EigenFlag:
@@ -399,32 +417,8 @@ def swap_flag(A: EigenFlag, B: EigenFlag, pair1, pair2) -> EigenFlag:
         if A.spaces[a].plus(A.spaces[b]) != B.spaces[a].plus(B.spaces[b]):
             raise ConstructionError(
                 f"slots {a},{b} redistribute different summands")
-    spaces = list(A.spaces)
-    spaces[i2] = B.spaces[i2]
-    spaces[j2] = B.spaces[j2]
-    return EigenFlag(A.signature, spaces)
-
-
-def verify_swap(A, B, pair1, pair2):
-    """Build the mixed flag and check its adjacency to both inputs.
-
-    Returns a report dict; the mixed flag is adjacent to A exactly at
-    pair2 and to B exactly at pair1 whenever the pair moves are genuine
-    (spaces actually change inside each pair).
-    """
-    C = swap_flag(A, B, pair1, pair2)
-    to_a = adjacency_slots(C, A)
-    to_b = adjacency_slots(C, B)
-    return {
-        "mixed_flag": C,
-        "adjacent_to_first": to_a,
-        "adjacent_to_second": to_b,
-        "ok": to_a == tuple(sorted(pair2)) and to_b == tuple(sorted(pair1)),
-    }
-
-
-# ---------------------------------------------------------------------------
-# one-sided path obstruction
+    # B's slot j2 is the complement of its slot i2 in the shared summand
+    return A.move(i2, j2, B.spaces[i2]) or A
 
 
 def obstruction_witness(A: EigenFlag, i, j, t):
@@ -436,61 +430,23 @@ def obstruction_witness(A: EigenFlag, i, j, t):
     between the untouched slot i space of A and the moved slot t space
     of B blocks any middle flag adjacent to A at (j, t) and to B at
     (i, j).  Slots j and t must be one-dimensional.  Deterministic:
-    scans candidate lines in enumeration order.
+    moves (i, j) along `tilts`, then trades the lines of slots j and t.
     """
     sig = A.signature
     if sig.dims[j] != 1 or sig.dims[t] != 1:
         raise ConstructionError("the obstruction recipe moves one-dimensional slots")
     if len({i, j, t}) != 3:
         raise ConstructionError("three distinct slots are required")
-    field = sig.field
-    Xi, Xj, Xt = A.spaces[i], A.spaces[j], A.spaces[t]
-    W = Xi.plus(Xj)
-    big = W.plus(Xt)
-
-    def candidates():
-        # tilt the last basis line of slot i against slot j; finitely
-        # many slopes suffice on every backend
-        w = Xj.rows[0]
-        slopes = (field.elements() if field.is_finite
-                  else [field.scalar(1), field.scalar(2), field.scalar(1, 1),
-                        field.scalar(1, -1), field.scalar(3)])
-        for lam in slopes:
-            if lam == field.zero:
-                continue
-            tilted = tuple(field.add(a, field.mul(lam, b))
-                           for a, b in zip(Xi.rows[-1], w))
-            yield Subspace(field, sig.ambient, Xi.rows[:-1] + (tilted,))
-
-    for Yi in candidates():
-        if Yi.dim != sig.dims[i] or not Yi.is_nondegenerate():
+    for Yi in tilts(A, i, j):
+        C = A.move(i, j, Yi)
+        # slot t of B is C's slot j, which sits inside the old (i, j)
+        # summand; it must not be orthogonal to the untouched slot i
+        if C is None or A.spaces[i].is_orthogonal_to(C.spaces[j]):
             continue
-        if Yi == Xi:
-            continue
-        Q = relative_orthocomplement(Yi, W)
-        if not Q.is_nondegenerate():
-            continue
-        # slot t of B sits partly inside the old (i, j) summand
-        Yt = Q
-        if Xi.is_orthogonal_to(Yt):
-            continue
-        Yj = relative_orthocomplement(Yi.plus(Yt), big)
-        if not Yj.is_nondegenerate():
-            continue
-        spaces_b = list(A.spaces)
-        spaces_b[i], spaces_b[j], spaces_b[t] = Yi, Yj, Yt
-        B = EigenFlag(sig, spaces_b)
-        Zj = relative_orthocomplement(Yi, W)
-        spaces_c = list(A.spaces)
-        spaces_c[i], spaces_c[j] = Yi, Zj
-        C = EigenFlag(sig, spaces_c)
-        if adjacency_slots(C, A) != tuple(sorted((i, j))):
-            continue
-        if adjacency_slots(C, B) != tuple(sorted((j, t))):
-            continue
+        B = C.move(t, j, C.spaces[j])
         return {"start": A, "end": B, "middle": C,
                 "blocking": (i, t),
-                "nonorthogonal": not Xi.is_orthogonal_to(Yt)}
+                "nonorthogonal": not A.spaces[i].is_orthogonal_to(B.spaces[t])}
     raise ConstructionError("no obstruction configuration found from this flag")
 
 

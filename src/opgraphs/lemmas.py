@@ -16,7 +16,7 @@ from random import Random
 
 from .constructions import (induced_order, induced_subgroup,
                             obstruction_witness, orbit_census,
-                            reverse_middle_flags, verify_swap)
+                            reverse_middle_flags, swap_flag, tilts)
 from .graphs import (LabeledGraph, TypeMapError, classify_type_map,
                      induced_type_map, johnson_graph, pair_complement_map)
 from .autgroup import automorphism_group, backtracking_order, is_automorphism
@@ -30,40 +30,18 @@ def _rotated_pair_flag(sig, base, i, j, rng=None):
     """A flag agreeing with `base` outside slots i, j, with those two
     slots replaced by a fresh orthogonal splitting of the same summand.
 
-    Deterministic mode (rng None) handles one-dimensional slots by
-    scanning tilted lines w1 + c*w2; random mode resamples subspaces of
-    the summand until the splitting is nondegenerate.
+    Deterministic mode (rng None) takes the first `tilts` candidate that
+    moves; random mode resamples subspaces of the summand until the
+    splitting is nondegenerate.
     """
-    f = sig.field
-    W = base.spaces[i].plus(base.spaces[j])
-
-    def finish(X):
-        if X == base.spaces[i] or not X.is_nondegenerate():
-            return None
-        R = relative_orthocomplement(X, W)
-        if not R.is_nondegenerate():
-            return None
-        spaces = list(base.spaces)
-        spaces[i], spaces[j] = X, R
-        return EigenFlag(sig, spaces)
-
     if rng is None:
-        if sig.dims[i] != 1 or sig.dims[j] != 1:
-            raise ValueError("deterministic resplitting needs one-dimensional slots")
-        w1 = base.spaces[i].rows[0]
-        w2 = base.spaces[j].rows[0]
-        candidates = (f.elements() if f.is_finite
-                      else [f.scalar(1), f.scalar(2), f.scalar(1, 1)])
-        for lam in candidates:
-            if lam == f.zero:
-                continue
-            X = Subspace.line(
-                f, tuple(f.add(a, f.mul(lam, b)) for a, b in zip(w1, w2)))
-            got = finish(X)
+        for X in tilts(base, i, j):
+            got = base.move(i, j, X)
             if got is not None:
                 return got
         raise RuntimeError("no alternative splitting exists")
-
+    f = sig.field
+    W = base.spaces[i].plus(base.spaces[j])
     for _ in range(500):
         coeffs = [random_vector(f, W.dim, rng, height=2)
                   for _ in range(sig.dims[i])]
@@ -73,7 +51,7 @@ def _rotated_pair_flag(sig, base, i, j, rng=None):
         X = Subspace(f, sig.ambient, rows)
         if X.dim != sig.dims[i]:
             continue
-        got = finish(X)
+        got = base.move(i, j, X)
         if got is not None:
             return got
     raise RuntimeError("could not resplit the two-slot summand")
@@ -174,16 +152,15 @@ def verify_fiber_lift(sig, i=None, j=None):
         # pinned instance: the coordinate contracted flag against the
         # splitting that trades the merged slot's last line for the
         # other slot's line
-        T = contract(coordinate_flag(sig), i, j)
         other = 1 if pos != 1 else 0
         if sig2.dims[pos] != 2 or sig2.dims[other] != 1:
-            raise ValueError("the pinned lift instance needs a (2, 1) split")
-        f = sig.field
+            report.update({"mode": "unavailable", "holds": False,
+                           "reason": "the pinned lift instance needs a (2, 1) split"})
+            return report
+        T = contract(coordinate_flag(sig), i, j)
         plane, line = T.spaces[pos], T.spaces[other]
-        spaces = list(T.spaces)
-        spaces[pos] = Subspace(f, sig.ambient, [plane.rows[0], line.rows[0]])
-        spaces[other] = Subspace(f, sig.ambient, [plane.rows[1]])
-        S = EigenFlag(sig2, spaces)
+        S = T.move(pos, other, Subspace(sig.field, sig.ambient,
+                                        [plane.rows[0], line.rows[0]]))
         pair = _lift_pair_from_meet(T, S, i, j, sig)
         ok = pair is not None and adjacency_slots(*pair) is not None
         report.update({
@@ -257,13 +234,14 @@ def verify_swap_lemma(field, sigma=None):
     A = coordinate_flag(sig)
     B = _rotated_pair_flag(sig, A, 0, 1)
     B = _rotated_pair_flag(sig, B, 2, 3)
-    result = verify_swap(A, B, (0, 1), (2, 3))
+    C = swap_flag(A, B, (0, 1), (2, 3))
+    to_a, to_b = adjacency_slots(C, A), adjacency_slots(C, B)
     return {
         "lemma": "swap", "field": field.descriptor(),
         "signature": sig.to_json(), "mode": "pinned",
-        "adjacent_to_first": list(result["adjacent_to_first"] or ()),
-        "adjacent_to_second": list(result["adjacent_to_second"] or ()),
-        "holds": result["ok"],
+        "adjacent_to_first": list(to_a or ()),
+        "adjacent_to_second": list(to_b or ()),
+        "holds": to_a == (2, 3) and to_b == (0, 1),
     }
 
 
@@ -271,31 +249,35 @@ def verify_swap_lemma(field, sigma=None):
 # ordered moves do not commute
 
 
-def verify_obstruction_lemma(sig, i=0, j=1, t=2):
+def verify_obstruction_lemma(sig):
     """Ordered two-slot moves with no reverse-order middle flag.
 
-    Builds the witness pair, checks both adjacencies, and checks the
-    blocking non-orthogonality that rules out any middle flag in the
-    other order (slot i of such a flag would have to stay the base
-    space while slot t carries a space not orthogonal to it).  Finite
-    backends additionally scan the whole class for reverse middles.
+    Builds the witness pair on slots (i, j, t) = (0, 1, 2), checks both
+    adjacencies, and checks the blocking non-orthogonality that rules
+    out any middle flag in the other order (slot i of such a flag would
+    have to stay the base space while slot t carries a space not
+    orthogonal to it).  Finite backends additionally scan the whole
+    class for reverse middles.  Unavailable unless slots 1 and 2 are
+    lines.
     """
+    report = {"lemma": "obstruction", "field": sig.field.descriptor(),
+              "signature": sig.to_json(), "slots": [0, 1, 2]}
+    if sig.k < 3 or sig.dims[1:3] != (1, 1):
+        report.update({"mode": "unavailable", "holds": False,
+                       "reason": "the obstruction recipe moves one-dimensional slots"})
+        return report
     A = coordinate_flag(sig)
-    data = obstruction_witness(A, i, j, t)
+    data = obstruction_witness(A, 0, 1, 2)
     B, C = data["end"], data["middle"]
     checks = {
-        "middle_adjacent_to_start": adjacency_slots(C, A) == tuple(sorted((i, j))),
-        "middle_adjacent_to_end": adjacency_slots(C, B) == tuple(sorted((j, t))),
+        "middle_adjacent_to_start": adjacency_slots(C, A) == (0, 1),
+        "middle_adjacent_to_end": adjacency_slots(C, B) == (1, 2),
         "blocking_nonorthogonality": data["nonorthogonal"],
     }
-    report = {
-        "lemma": "obstruction", "field": sig.field.descriptor(),
-        "signature": sig.to_json(), "slots": [i, j, t],
-        "checks": checks,
-    }
+    report["checks"] = checks
     if sig.field.is_finite:
         graph = LabeledGraph.build(sig)
-        reverse = reverse_middle_flags(graph, A, B, i, j, t)
+        reverse = reverse_middle_flags(graph, A, B, 0, 1, 2)
         report["mode"] = "pinned+exhaustive"
         report["reverse_middles"] = len(reverse)
         report["holds"] = all(checks.values()) and not reverse

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import enumeration
-from .linalg import Matrix, Subspace, is_invariant, rank_of_rows
+from .linalg import (Matrix, Subspace, is_invariant, rank_of_rows,
+                     relative_orthocomplement)
 
 
 class NotInClassError(ValueError):
@@ -171,6 +172,22 @@ class EigenFlag:
     def map_spaces(self, fn, check=True):
         """New flag in the same class with fn applied to every slot."""
         return EigenFlag(self.signature, [fn(X) for X in self.spaces], check=check)
+
+    def move(self, i, j, X):
+        """The two-slot move: slot i becomes X, slot j the orthocomplement
+        of X inside X_i + X_j, every other slot stays.
+
+        Returns None when X is already slot i, or when X or its
+        complement is degenerate.
+        """
+        if X == self.spaces[i] or not X.is_nondegenerate():
+            return None
+        R = relative_orthocomplement(X, self.spaces[i].plus(self.spaces[j]))
+        if not R.is_nondegenerate():
+            return None
+        spaces = list(self.spaces)
+        spaces[i], spaces[j] = X, R
+        return EigenFlag(self.signature, spaces)
 
     def permute_slots(self, delta: SdPermutation):
         """Slot i of the result is the old slot delta(i)."""

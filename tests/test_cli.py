@@ -370,8 +370,6 @@ NO_DIR = "no-such-dir/report.json"    # under tmp_path, so never writable
     ("verify-lemma", "--lemma", "nonsense"),
     (),
     # exceptions no command anticipates
-    ("verify-lemma", "--backend", "qi", "--sigma", "1,2,3", "--dims", "2,1,1",
-     "--lemma", "lift"),
     ("verify-lemma", "--p", "2", "--e", "1", "--sigma", "0,1", "--dims", "2,1",
      "--lemma", "obstruction"),
     ("enumerate", "--sigma", "0,1", "--dims", "1,2", "--out", NO_DIR),
@@ -423,6 +421,15 @@ def test_error_reports_name_unexpected_exceptions(capsys, tmp_path,
     ("counterexample", "--backend", "qi", "--sigma", "1,2,3", "--dims", "2,1,1"),
     ("counterexample", "--backend", "qi", "--sigma", "1,2,3,4",
      "--dims", "1,1,1,1"),
+    ("verify-lemma", "--fixture", "flagship.json", "--lemma", "lift",
+     "--i", "1"),
+    ("verify-lemma", "--fixture", "flagship.json", "--lemma", "lift",
+     "--j", "1"),
+    ("automorphisms", "--graph", "petersen", "--compare-induced"),
+    ("verify-lemma", "--backend", "qi", "--sigma", "1,2,3", "--dims", "2,1,1",
+     "--lemma", "lift"),
+    ("verify-lemma", "--p", "3", "--e", "1", "--sigma", "0,1,2",
+     "--dims", "1,1,2", "--lemma", "obstruction"),
 ], ids=" ".join)
 def test_bad_field_or_class_is_a_usage_error(capsys, argv):
     argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]

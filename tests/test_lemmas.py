@@ -45,6 +45,17 @@ def test_rotated_pair_flag_moves_exactly_two_slots(qi_sig):
     other = _rotated_pair_flag(qi_sig, base, 0, 1)
     assert adjacency_slots(base, other) == (0, 1)
     assert other.spaces[2] == base.spaces[2]
+    # the tilt scan resplits a plane slot too
+    sig = signature(QI, ("1", "2", "3"), (2, 1, 1))
+    plane = coordinate_flag(sig)
+    assert adjacency_slots(plane, _rotated_pair_flag(sig, plane, 0, 1)) == (0, 1)
+
+
+def test_fiber_lift_unavailable_without_a_pinned_split():
+    # merging slot 2 into slot 0 leaves a 3-space, not the pinned plane
+    report = verify_fiber_lift(signature(QI, ("1", "2", "3"), (2, 1, 1)))
+    assert report["mode"] == "unavailable"
+    assert not report["holds"]
 
 
 def test_fiber_lift_pinned_over_the_rationals(qi_sig):
@@ -99,6 +110,12 @@ def test_obstruction_pinned_over_the_rationals(qi_sig):
     assert report["holds"]
     assert all(report["checks"].values())
     assert report["slots"] == [0, 1, 2]
+
+
+def test_obstruction_unavailable_without_line_slots(f9):
+    report = verify_obstruction_lemma(signature(f9, ("0", "1", "2"), (1, 1, 2)))
+    assert report["mode"] == "unavailable"
+    assert not report["holds"]
 
 
 def test_obstruction_exhaustive_over_gf9(obstruction_report_gf9):

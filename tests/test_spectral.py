@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+from opgraphs.constructions import tilts
 from opgraphs.linalg import Matrix, Subspace
 from opgraphs.sampling import random_flag
 from opgraphs.spectral import (
@@ -200,6 +202,36 @@ def test_fiber_partitions_the_class(flagship_flags):
         keys.setdefault(contract(f, 0, 1).key(), []).append(f)
     assert len(keys) == 63
     assert all(len(v) == 6 for v in keys.values())
+
+
+def _check_moves(flag):
+    """`flag.move` along every tilt of every ordered slot pair."""
+    for i, j in permutations(range(flag.signature.k), 2):
+        assert flag.move(i, j, flag.spaces[i]) is None
+        W = flag.spaces[i].plus(flag.spaces[j])
+        for X in tilts(flag, i, j):
+            moved = flag.move(i, j, X)
+            degenerate = (not X.is_nondegenerate() or not
+                          W.intersect(X.orthocomplement()).is_nondegenerate())
+            assert (moved is None) == degenerate
+            if moved is None:
+                continue
+            assert all(moved.spaces[t] == flag.spaces[t]
+                       for t in range(flag.signature.k) if t not in (i, j))
+            assert moved.spaces[i] == X
+            assert moved.spaces[j].is_orthogonal_to(X)
+            assert X.plus(moved.spaces[j]) == W
+            assert adjacency_slots(moved, flag) == tuple(sorted((i, j)))
+
+
+def test_move_over_a_stride_of_the_flagship(flagship_flags):
+    for flag in flagship_flags[::7]:
+        _check_moves(flag)
+
+
+def test_move_over_the_rationals():
+    _check_moves(A)
+    _check_moves(coordinate_flag(signature(QI, ("1", "2", "3"), (2, 1, 1))))
 
 
 def test_permute_slots():
