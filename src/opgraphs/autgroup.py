@@ -4,16 +4,20 @@ Vertices are 0..n-1 and graphs enter as adjacency lists (tuple of
 sorted neighbor tuples).  The search refines vertex colors with the
 iterated neighborhood color multiset, individualizes inside the
 smallest cell, and prunes with refinement traces plus the orbits of the
-group found so far.  Every candidate permutation is verified against
-the edge set before it is accepted, so pruning can only cost time,
-never correctness.  Group orders come from a deterministic stabilizer
-chain (Schreier-Sims); orders are exact integers.
+automorphisms found so far.  Every candidate permutation is verified
+against the edge set before it is accepted.  The group order is read
+off the search tree: the product, over the first path, of the orbit
+length of each individualized vertex under the automorphisms fixing
+the ones before it (McKay, "Practical graph isomorphism", 1981).  A
+deterministic stabilizer chain (Schreier-Sims) serves the induced
+group and the oracles; orders are exact integers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import permutations
+from math import prod
 from operator import itemgetter
 
 
@@ -82,15 +86,15 @@ class StabChain:
     set and closure stops there.
     """
 
-    def __init__(self, n, base=(), known_order=None):
+    def __init__(self, n, known_order=None):
         self.n = n
         self.identity = identity_perm(n)
         self.known_order = known_order
-        self.base = list(base)
-        self.gens = [[] for _ in self.base]
-        self.gens_inv = [[] for _ in self.base]
-        self.orbits = [{b: self.identity} for b in self.base]
-        self._done = [set() for _ in self.base]
+        self.base = []
+        self.gens = []
+        self.gens_inv = []
+        self.orbits = []
+        self._done = []
 
     def order(self):
         out = 1
@@ -191,22 +195,6 @@ class StabChain:
             else:
                 level -= 1
 
-    def level_orbit(self, l, point):
-        """Orbit of a point under the generators fixing base[:l]."""
-        if l >= len(self.gens):
-            return {point}
-        gens = self.gens[l]
-        seen = {point}
-        queue = [point]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
-
     def generators(self):
         return list(self.gens[0]) if self.gens else []
 
@@ -261,93 +249,139 @@ def _leaf_order(colors):
     return out
 
 
+class AutomorphismGroup:
+    """What the search proves about Aut(G).
+
+    `base` is the first path's individualized vertices, so only the
+    identity fixes all of them.  `orbit_sizes[d]` is the length of the
+    orbit of base[d] under the automorphisms fixing base[:d], and the
+    order is their product (orbit-stabilizer).  `nodes` counts the
+    search nodes used against the budget.
+    """
+
+    __slots__ = ("base", "orbit_sizes", "nodes", "_generators")
+
+    def __init__(self, base, orbit_sizes, generators, nodes):
+        self.base = tuple(base)
+        self.orbit_sizes = tuple(orbit_sizes)
+        self._generators = tuple(generators)
+        self.nodes = nodes
+
+    def order(self):
+        return prod(self.orbit_sizes)
+
+    def generators(self):
+        return list(self._generators)
+
+
 def automorphism_group(adjlist, known_generators=(), node_budget=2_000_000):
     """Generators and exact order of the automorphism group.
 
-    Optional known automorphisms seed the stabilizer chain; they are
-    verified first and the search still proves the final group is the
-    whole automorphism group.  Returns a StabChain.
+    The first path (leftmost descent) fixes the base, the first leaf
+    and the trace.  Its levels are then finished deepest first: level
+    d searches each sibling of base[d] whose subtree may hold a leaf
+    equivalent to the first one, and stops in a subtree at its first
+    verified automorphism.  Such an automorphism fixes base[:d], so it
+    joins one union-find of orbits shared by level d and every level
+    above it; a sibling that is not the least vertex of its orbit is
+    skipped.  When level d is done, the orbit of base[d] is the whole
+    orbit under the stabilizer of base[:d], and the order is the
+    product of these orbit lengths.  Optional known automorphisms are
+    verified, then merged from the deepest level whose base prefix
+    they fix; they come first among the returned generators, which
+    generate the whole group.  Returns an AutomorphismGroup.
     """
     n = len(adjlist)
-    if n == 0:
-        return StabChain(n)
     adjlist = tuple(tuple(sorted(u)) for u in adjlist)
     masks = adjacency_masks(adjlist)
-
-    root = refine_colors(adjlist, [0] * n)
-
-    # leftmost descent fixes the base, the first leaf, and the trace
-    first_trace = []
-    first_choices = []
-    colors = root
-    while True:
-        cell = _target_cell(colors)
-        if cell is None:
-            break
-        v = min(cell)
-        first_choices.append(v)
-        colors = _individualize(adjlist, colors, v)
-        first_trace.append(_partition_shape(colors))
-    first_leaf = _leaf_order(colors)
-    first_leaf_inv = inverse(tuple(first_leaf))
-
-    # the discrete leaf coloring pins every vertex, so the first-path
-    # choices form a base; seeding it keeps orbit pruning aligned with
-    # the stabilizers of first-path prefixes
-    chain = StabChain(n, base=first_choices)
-    for g in known_generators:
-        g = tuple(g)
-        if not is_automorphism(adjlist, g, masks):
-            raise ValueError("known generator is not an automorphism")
-        chain.add(g)
-
     nodes = 0
 
-    def descend(colors, depth, on_first_path):
+    def count_node():
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(f"automorphism search exceeded {node_budget} nodes")
+
+    # the leftmost descent, kept level by level
+    path = []
+    first_trace = []
+    colors = refine_colors(adjlist, [0] * n)
+    count_node()
+    while (cell := _target_cell(colors)) is not None:
+        path.append((colors, cell))
+        colors = _individualize(adjlist, colors, min(cell))
+        first_trace.append(_partition_shape(colors))
+        count_node()
+    base = [min(cell) for _, cell in path]
+    first_leaf_inv = inverse(tuple(_leaf_order(colors)))
+
+    def fixed_prefix(g):
+        """How many leading base points g fixes."""
+        for d, b in enumerate(base):
+            if g[b] != b:
+                return d
+        return len(base)
+
+    known = [tuple(g) for g in known_generators]
+    if not all(is_automorphism(adjlist, g, masks) for g in known):
+        raise ValueError("known generator is not an automorphism")
+    # popped deepest first, as the levels finish
+    pending = sorted(known, key=fixed_prefix)
+
+    # orbits of the automorphisms merged so far; each class is rooted
+    # at its least vertex
+    parent = list(range(n))
+    size = [1] * n
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def merge(g):
+        for x, y in enumerate(g):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                if ry < rx:
+                    rx, ry = ry, rx
+                parent[ry] = rx
+                size[rx] += size[ry]
+
+    found = []
+
+    def subtree_automorphism(colors, depth):
+        """Search below a first-path sibling until a leaf gives an automorphism."""
+        count_node()
         cell = _target_cell(colors)
         if cell is None:
-            if on_first_path:
+            g = compose(tuple(_leaf_order(colors)), first_leaf_inv)
+            if not is_automorphism(adjlist, g, masks):
                 return False
-            leaf = _leaf_order(colors)
-            g = compose(tuple(leaf), first_leaf_inv)
-            if is_automorphism(adjlist, g, masks) and chain.add(g):
-                return True
-            return False
-        first_v = first_choices[depth] if on_first_path else None
-        processed = []
+            found.append(g)
+            merge(g)
+            return True
         for v in sorted(cell):
-            if on_first_path and v != first_v:
-                # skip branches equivalent to an explored one under the
-                # group found so far (orbits in the stabilizer of the
-                # first-path prefix)
-                skip = False
-                for u in processed:
-                    if v in chain.level_orbit(depth, u):
-                        skip = True
-                        break
-                if skip:
-                    processed.append(v)
-                    continue
             child = _individualize(adjlist, colors, v)
-            if on_first_path and v == first_v:
-                descend(child, depth + 1, True)
-                processed.append(v)
-                continue
-            if _partition_shape(child) != first_trace[depth]:
-                processed.append(v)
-                continue
-            found = descend(child, depth + 1, False)
-            processed.append(v)
-            if found and not on_first_path:
+            if (_partition_shape(child) == first_trace[depth]
+                    and subtree_automorphism(child, depth + 1)):
                 return True
         return False
 
-    descend(root, 0, True)
-    return chain
+    orbit_sizes = [1] * len(base)
+    for depth in reversed(range(len(base))):
+        while pending and fixed_prefix(pending[-1]) >= depth:
+            merge(pending.pop())
+        colors, cell = path[depth]
+        for v in sorted(cell):
+            # an orbit's least vertex is visited before the rest of it
+            if v == base[depth] or find(v) != v:
+                continue
+            child = _individualize(adjlist, colors, v)
+            if _partition_shape(child) == first_trace[depth]:
+                subtree_automorphism(child, depth + 1)
+        orbit_sizes[depth] = size[find(base[depth])]
+    return AutomorphismGroup(base, orbit_sizes, known + found, nodes)
 
 
 def brute_force_order(adjlist):

@@ -285,6 +285,13 @@ def cmd_components(args):
     return config, results, code
 
 
+def _search_counters(group):
+    """The automorphism search's work: nodes used against --budget, and
+    the first-path orbit lengths whose product is the order."""
+    return {"search_nodes": group.nodes,
+            "first_path_orbits": list(group.orbit_sizes)}
+
+
 def cmd_automorphisms(args):
     code = EXIT_OK
     if args.graph in ("petersen", "johnson"):
@@ -297,15 +304,16 @@ def cmd_automorphisms(args):
             n = args.n
             g = johnson_graph(n)
             config = {"graph": "johnson", "n": n}
-        chain = automorphism_group(g.adjlist, node_budget=args.budget)
+        group = automorphism_group(g.adjlist, node_budget=args.budget)
         results = {
             "vertex_count": len(g.adjlist),
-            "automorphism_order": str(chain.order()),
-            "generator_count": len(chain.generators()),
+            "automorphism_order": str(group.order()),
+            "generator_count": len(group.generators()),
+            **_search_counters(group),
         }
         if args.generators_out:
             save_json(args.generators_out,
-                      group_to_json(chain.order(), chain.generators()))
+                      group_to_json(group.order(), group.generators()))
         if args.dot:
             with open(args.dot, "w") as fh:
                 fh.write(adjacency_to_dot(g.adjlist, g.labels))
@@ -324,16 +332,17 @@ def cmd_automorphisms(args):
         results["induced_order_closed_form"] = str(induced_order(sig))
         results["induced_generator_count"] = len(gens)
         results["induced_generators_verified"] = True
-    chain = automorphism_group(
+    group = automorphism_group(
         graph.adjacency(), known_generators=known, node_budget=args.budget)
-    results["automorphism_order"] = str(chain.order())
+    results["automorphism_order"] = str(group.order())
+    results.update(_search_counters(group))
     if args.compare_induced:
-        aut, ind = chain.order(), chain_ind.order()
+        aut, ind = group.order(), chain_ind.order()
         results["index_of_induced"] = aut // ind
         results["induced_equals_full"] = aut == ind
     if args.generators_out:
         save_json(args.generators_out,
-                  group_to_json(chain.order(), chain.generators()))
+                  group_to_json(group.order(), group.generators()))
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(graph_to_dot(graph))

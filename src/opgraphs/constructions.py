@@ -444,9 +444,7 @@ def obstruction_witness(A: EigenFlag, i, j, t):
         if C is None or A.spaces[i].is_orthogonal_to(C.spaces[j]):
             continue
         B = C.move(t, j, C.spaces[j])
-        return {"start": A, "end": B, "middle": C,
-                "blocking": (i, t),
-                "nonorthogonal": not A.spaces[i].is_orthogonal_to(B.spaces[t])}
+        return {"start": A, "end": B, "middle": C, "blocking": (i, t)}
     raise ConstructionError("no obstruction configuration found from this flag")
 
 

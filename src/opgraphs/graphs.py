@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-from .spectral import adjacency_slots, contract, enumerate_class
+from .linalg import rank_of_rows
+from .spectral import contract, enumerate_class
 
 
 class TypeMapError(RuntimeError):
@@ -38,26 +39,30 @@ class LabeledGraph:
         """Enumerate the class (unless flags are supplied) and connect it.
 
         Two flags can only be adjacent when they agree on every slot
-        but two, so candidates are bucketed by the frozen slots before
-        the adjacency test runs.
+        but two, so candidates are bucketed by the frozen slots.  Two
+        flags X, Y of one (i, j) bucket share the nondegenerate summand
+        W = X_i + X_j, so X_j ∩ Y_j = (X_i + Y_i)^⊥ ∩ W and the slot-j
+        spaces meet in a hyperplane exactly when the slot-i spaces do.
+        One rank test on the smaller slot decides the pair.
         """
         if flags is None:
             flags = enumerate_class(signature)
         flags = sorted(flags, key=lambda f: f.key())
-        k = signature.k
+        k, dims, field = signature.k, signature.dims, signature.field
         edges = []
         edge_type = {}
         for i, j in combinations(range(k), 2):
+            s = i if dims[i] <= dims[j] else j
             buckets = {}
             for v, flag in enumerate(flags):
                 frozen = tuple(flag.spaces[t].rows for t in range(k) if t not in (i, j))
                 buckets.setdefault(frozen, []).append(v)
             for members in buckets.values():
                 for a, b in combinations(members, 2):
-                    slots = adjacency_slots(flags[a], flags[b])
-                    if slots == (i, j):
+                    rows = flags[a].spaces[s].rows + flags[b].spaces[s].rows
+                    if rank_of_rows(field, rows) == dims[s] + 1:
                         edges.append((a, b))
-                        edge_type[(a, b)] = slots
+                        edge_type[(a, b)] = (i, j)
         return cls(flags, edges, edge_type)
 
     @property

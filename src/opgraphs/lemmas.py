@@ -140,9 +140,12 @@ def verify_fiber_lift(sig, i=None, j=None):
     being the vertices with one (i, j)-contraction.  The unconditional
     claim holds over a definite form, where degenerate meets cannot
     occur, and fails over finite backends exactly on the
-    degenerate-meet pairs.
+    degenerate-meet pairs.  Slot i merges into slot j; the pair defaults
+    to (k - 1, 0) and is given whole or not at all.
     """
-    if i is None or j is None:
+    if (i is None) != (j is None):
+        raise ValueError("give both merged slots i and j, or neither")
+    if i is None:
         i, j = sig.k - 1, 0
     report = {"lemma": "lift", "field": sig.field.descriptor(),
               "signature": sig.to_json(), "merged_slots": [i, j]}
@@ -269,10 +272,12 @@ def verify_obstruction_lemma(sig):
     A = coordinate_flag(sig)
     data = obstruction_witness(A, 0, 1, 2)
     B, C = data["end"], data["middle"]
+    i, t = data["blocking"]
     checks = {
         "middle_adjacent_to_start": adjacency_slots(C, A) == (0, 1),
         "middle_adjacent_to_end": adjacency_slots(C, B) == (1, 2),
-        "blocking_nonorthogonality": data["nonorthogonal"],
+        "blocking_nonorthogonality":
+            not data["start"].spaces[i].is_orthogonal_to(B.spaces[t]),
     }
     report["checks"] = checks
     if sig.field.is_finite:

@@ -70,7 +70,7 @@ def flagship_graph(flagship_sig, flagship_flags):
 
 @pytest.fixture(scope="session")
 def flagship_groups(flagship_graph):
-    """(induced chain, labeled generators, full automorphism chain)."""
+    """(induced chain, labeled generators, full automorphism group)."""
     chain_ind, gens = induced_subgroup(flagship_graph)
     known = [perm for _, _, perm in gens]
     chain_full = automorphism_group(flagship_graph.adjacency(), known_generators=known)

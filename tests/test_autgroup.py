@@ -7,6 +7,7 @@ cross-checked against an independent exhaustive counter.
 
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -106,7 +107,48 @@ def test_known_generators_seed_the_search():
     g = next(x for x in chain.generators() if x != identity_perm(10))
     seeded = automorphism_group(p.adjlist, known_generators=[g])
     assert seeded.order() == 120
-    assert seeded.contains(g)
+    assert g in seeded.generators()
+    closed = StabChain(10)
+    for h in seeded.generators():
+        closed.add(h)
+    assert closed.order() == 120
+
+
+def test_known_generators_are_verified():
+    with pytest.raises(ValueError):
+        automorphism_group(path_graph(4).adjlist, known_generators=[(1, 0, 2, 3)])
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(tuple(sorted(a)) for a in adj)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(), st.data())
+def test_search_order_matches_brute_force(adjlist, data):
+    n = len(adjlist)
+    want = brute_force_order(adjlist)
+    group = automorphism_group(adjlist)
+    assert group.order() == want
+    closed = StabChain(n)
+    for g in group.generators():
+        assert is_automorphism(adjlist, g)
+        closed.add(g)
+    assert closed.order() == want
+    # any verified automorphisms may seed the search without moving the order
+    auts = [p for p in permutations(range(n)) if is_automorphism(adjlist, p)]
+    known = data.draw(st.lists(st.sampled_from(auts), max_size=4))
+    seeded = automorphism_group(adjlist, known_generators=known)
+    assert seeded.order() == want
+    assert seeded.generators()[:len(known)] == known
 
 
 def test_budget_exhaustion_raises():

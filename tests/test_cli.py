@@ -9,6 +9,7 @@ import io
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opgraphs import constructions
-from opgraphs.cli import LEMMAS, main
+from opgraphs.autgroup import StabChain, is_automorphism
+from opgraphs.cli import LEMMAS, _resolve, _signature, build_parser, main
+from opgraphs.graphs import LabeledGraph
 from opgraphs.report import canonical_json, stable_view
+from opgraphs.serialize import load_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -156,7 +160,7 @@ GENERATOR_FILES = [
     (("--p", "2", "--e", "1", "--sigma", "0,1", "--dims", "2,2"),
      "52ca8e0cf40a6a6d9aa87885422498771b92c338da8662d93aab110f94904629"),
     (("--fixture", str(FIXTURES / "flagship.json"), "--compare-induced"),
-     "c06838f960be9be4b5754644b4b2db53b6572a84227304acb5b3fee416445210"),
+     "7eda3452fa01cde45090d5749227a176792b078de266343059f9f15439bbbb52"),
     (("--p", "2", "--e", "1", "--sigma", "0,1", "--dims", "1,3"),
      "b9f37b68f7681f15cb344648cd8f57cab9af63a0da6e042241c1986d72ea3d50"),
 ]
@@ -169,6 +173,42 @@ def test_generator_files_are_pinned(capsys, tmp_path, argv, digest):
     code, _ = run(capsys, "automorphisms", *argv, "--generators-out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in GENERATOR_FILES],
+                         ids=["GF(4)^4 2,2", "flagship compare-induced", "K40"])
+def test_generator_files_generate_the_reported_group(capsys, tmp_path, argv):
+    # the deterministic stabilizer chain is the oracle for the order the
+    # search reads off its first path
+    out = tmp_path / "group.json"
+    code, rep = run(capsys, "automorphisms", *argv, "--generators-out", str(out))
+    assert code == 0
+    field, sigma, dims, _, _ = _resolve(build_parser().parse_args(
+        ["automorphisms", *argv]))
+    adj = LabeledGraph.build(_signature(field, sigma, dims)).adjacency()
+    group = load_json(out)
+    chain = StabChain(len(adj))
+    for g in group["generators"]:
+        assert is_automorphism(adj, tuple(g))
+        chain.add(g)
+    res = rep["results"]
+    assert str(chain.order()) == group["order"] == res["automorphism_order"]
+    assert str(prod(res["first_path_orbits"])) == group["order"]
+
+
+def test_automorphisms_report_search_counters(capsys):
+    code, rep = run(capsys, "automorphisms", "--graph", "petersen")
+    assert code == 0
+    res = rep["results"]
+    assert res["first_path_orbits"] == [10, 3, 2, 2]
+    nodes = res["search_nodes"]
+    # the count is exactly what the search charges against --budget
+    code, rep = run(capsys, "automorphisms", "--graph", "petersen",
+                    "--budget", str(nodes))
+    assert code == 0 and rep["results"]["search_nodes"] == nodes
+    code, rep = run(capsys, "automorphisms", "--graph", "petersen",
+                    "--budget", str(nodes - 1))
+    assert code == 1
 
 
 def test_verify_lemma_a1a2_equiv(capsys):

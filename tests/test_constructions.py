@@ -401,7 +401,6 @@ def test_obstruction_witness_over_the_rationals(qi_sig):
     b, c = w["end"], w["middle"]
     assert adjacency_slots(c, a) == (0, 1)
     assert adjacency_slots(c, b) == (1, 2)
-    assert w["nonorthogonal"]
     assert not a.spaces[0].is_orthogonal_to(b.spaces[2])
 
 

@@ -1,6 +1,6 @@
 """Class graphs, their label structure, and the reference graphs."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -20,6 +20,9 @@ from opgraphs.graphs import (
     path_graph,
     petersen_graph,
 )
+from opgraphs.spectral import adjacency_slots, enumerate_class
+from opgraphs.starfield import galois_field
+from tests.conftest import signature
 
 
 def test_flagship_graph_shape(flagship_graph):
@@ -46,6 +49,46 @@ def test_grassmann_graph_is_complete(grassmann_graph):
     assert len(g.edges) == 63 * 62 // 2
     assert g.degree_histogram() == {62: 63}
     assert all(t == (0, 1) for t in g.edge_type.values())
+
+
+def _bucket_scan(sig, flags):
+    """Edge labels by `adjacency_slots` on every pair of flags that agree
+    off two slots, in the order `LabeledGraph.build` visits the pairs."""
+    flags = sorted(flags, key=lambda f: f.key())
+    edge_type = {}
+    for i, j in combinations(range(sig.k), 2):
+        buckets = {}
+        for v, flag in enumerate(flags):
+            frozen = tuple(flag.spaces[t] for t in range(sig.k) if t not in (i, j))
+            buckets.setdefault(frozen, []).append(v)
+        for members in buckets.values():
+            for a, b in combinations(members, 2):
+                if adjacency_slots(flags[a], flags[b]) == (i, j):
+                    edge_type[(a, b)] = (i, j)
+    return flags, edge_type
+
+
+BUILD_CLASSES = [
+    ("GF(4)^4 2,2", (2, 1), ("0", "1"), (2, 2)),
+    ("K40", (2, 1), ("0", "1"), (1, 3)),
+    ("flagship", (3, 1), ("0", "1", "2"), (1, 1, 1)),
+    ("grassmann", (3, 1), ("0", "1"), (1, 2)),
+    ("GF(16)^3", (2, 2), ("0", "1", "2"), (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("name,field,sigma,dims", BUILD_CLASSES,
+                         ids=[c[0] for c in BUILD_CLASSES])
+def test_build_matches_a_scan_of_every_bucket_pair(name, field, sigma, dims):
+    # one rank test on the smaller slot decides what adjacency_slots
+    # decides with one test per moved slot
+    sig = signature(galois_field(*field), sigma, dims)
+    flags = enumerate_class(sig)
+    graph = LabeledGraph.build(sig, flags)
+    vertices, edge_type = _bucket_scan(sig, flags)
+    assert graph.vertices == tuple(vertices)
+    assert list(graph.edge_type.items()) == list(edge_type.items())
+    assert graph.edges == tuple(sorted(edge_type))
 
 
 def test_pair_components_are_the_fibers(flagship_graph):

@@ -81,6 +81,13 @@ def test_fiber_lift_splits_over_gf9(flagship_sig, i, j):
     assert report["liftable"] + report["blocked_by_degenerate_meet"] == 1953
 
 
+def test_fiber_lift_takes_both_slots_or_neither(flagship_sig):
+    with pytest.raises(ValueError):
+        verify_fiber_lift(flagship_sig, 1)
+    with pytest.raises(ValueError):
+        verify_fiber_lift(flagship_sig, j=1)
+
+
 def test_swap_over_the_rationals():
     report = verify_swap_lemma(QI)
     assert report["mode"] == "pinned"
@@ -110,6 +117,25 @@ def test_obstruction_pinned_over_the_rationals(qi_sig):
     assert report["holds"]
     assert all(report["checks"].values())
     assert report["slots"] == [0, 1, 2]
+
+
+def test_obstruction_fails_on_an_orthogonal_witness(qi_sig, monkeypatch):
+    # a witness whose moved slot t is orthogonal to the base slot i
+    # blocks nothing, so the lemma must not hold on it
+    real = lemmas.obstruction_witness
+
+    def orthogonal_witness(A, i, j, t):
+        data = real(A, i, j, t)
+        B = data["end"]
+        data["end"] = B.move(t, j, coordinate_flag(qi_sig).spaces[t])
+        assert data["end"] is not None
+        assert A.spaces[i].is_orthogonal_to(data["end"].spaces[t])
+        return data
+
+    monkeypatch.setattr(lemmas, "obstruction_witness", orthogonal_witness)
+    report = verify_obstruction_lemma(qi_sig)
+    assert not report["checks"]["blocking_nonorthogonality"]
+    assert not report["holds"]
 
 
 def test_obstruction_unavailable_without_line_slots(f9):
