@@ -4,25 +4,31 @@ Vertices are 0..n-1 and graphs enter as adjacency lists (tuple of
 sorted neighbor tuples).  The search refines vertex colors with the
 iterated neighborhood color multiset, individualizes inside the
 smallest cell, and prunes with refinement traces plus the orbits of the
-automorphisms found so far.  Every candidate permutation is verified
-against the edge set before it is accepted.  The group order is read
-off the search tree: the product, over the first path, of the orbit
-length of each individualized vertex under the automorphisms fixing
-the ones before it (McKay, "Practical graph isomorphism", 1981).  A
-deterministic stabilizer chain (Schreier-Sims) serves the induced
-group and the oracles; orders are exact integers.
+automorphisms found so far.  Refinement after an individualization
+recounts only the arcs out of the cells that just split, and gives
+exactly the coloring of a full recount.  Every candidate permutation
+is verified against the edge set before it is accepted.  The group
+order is read off the search tree: the product, over the first path,
+of the orbit length of each individualized vertex under the
+automorphisms fixing the ones before it (McKay, "Practical graph
+isomorphism", 1981).  A deterministic stabilizer chain (Schreier-Sims)
+serves the induced group and the oracles; orders are exact integers.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import permutations
+from collections import Counter, defaultdict
+from itertools import chain, permutations
 from math import prod
 from operator import itemgetter
 
 
 class BudgetExceededError(RuntimeError):
-    """The search tree outgrew the node budget."""
+    """The search tree outgrew the node budget; `nodes` were searched."""
+
+    def __init__(self, nodes):
+        super().__init__(f"automorphism search exceeded {nodes} nodes")
+        self.nodes = nodes
 
 
 def identity_perm(n):
@@ -199,36 +205,72 @@ class StabChain:
         return list(self.gens[0]) if self.gens else []
 
 
-def refine_colors(adjlist, colors):
-    """Canonical stable coloring from iterated neighbor color multisets."""
+def refine_colors(adjlist, colors, _split=None):
+    """Canonical stable coloring from iterated neighbor color multisets.
+
+    Each round gives every vertex the signature (color, sorted counts of
+    its neighbors' colors) and recolors it by the signature's rank, so a
+    cell splits into consecutive ids.  The first round counts every arc,
+    since the vertices of one input cell may differ even in degree.
+    After it, the vertices of a cell agree on their counts over the
+    previous round's cells, so they can differ only over the sub-cells
+    of a cell that just split, and the last of those is fixed by the
+    others.  A later round counts only the arcs out of the other
+    sub-cells (McKay & Piperno, "Practical graph isomorphism, II",
+    2014) and ends each vertex's counts with a sentinel above every
+    (color, count) pair.  Two vertices of a cell first differ at a
+    counted color; where one of them has no neighbor there, its next
+    pair or the sentinel sorts higher, as its next pair does in the
+    full signature.  So the coloring is exactly the full recount's.
+
+    `_split`, the sub-cells to count (vertex lists in color order),
+    says that `colors` splits an equitable coloring, and makes the
+    first round incremental too.
+    """
     n = len(adjlist)
     colors = list(colors)
+    cells = len(set(colors))
+    end = (n,)
     while True:
-        sigs = []
-        for v in range(n):
-            cnt = Counter(colors[u] for u in adjlist[v])
-            sigs.append((colors[v], tuple(sorted(cnt.items()))))
-        order = {s: k for k, s in enumerate(sorted(set(sigs)))}
-        new = [order[s] for s in sigs]
+        if _split is None:
+            sigs = [(c, tuple(sorted(Counter(colors[u] for u in adjlist[v]).items())))
+                    for v, c in enumerate(colors)]
+        else:
+            rows = defaultdict(list)
+            # sub-cells in color order, so every row comes out sorted
+            for cell in _split:
+                c = colors[cell[0]]
+                arcs = Counter(chain.from_iterable(map(adjlist.__getitem__, cell)))
+                for w, k in arcs.items():
+                    rows[w].append((c, k))
+            sigs = [(c, (end,)) for c in colors]
+            for w, row in rows.items():
+                row.append(end)
+                sigs[w] = (colors[w], tuple(row))
+        keys = sorted(set(sigs))
+        rank = {s: k for k, s in enumerate(keys)}
+        new = [rank[s] for s in sigs]
         # each round refines the last, so an equal cell count means an
         # equal (hence equitable) partition, and one more round would
         # return `new` unchanged
-        if len(order) == len(set(colors)):
+        if len(keys) == cells:
             return new
+        # the sub-cells of each split cell, all but the last
+        split = {k: [] for k in range(len(keys) - 1) if keys[k][0] == keys[k + 1][0]}
+        for v, c in enumerate(new):
+            if c in split:
+                split[c].append(v)
+        _split = split.values()
         colors = new
+        cells = len(keys)
 
 
 def _target_cell(colors):
     """Smallest non-singleton color class, ties by color id; None if discrete."""
-    cells = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    best = None
-    for c in sorted(cells):
-        vs = cells[c]
-        if len(vs) > 1 and (best is None or len(vs) < len(best[1])):
-            best = (c, vs)
-    return None if best is None else best[1]
+    best = min(((k, c) for c, k in Counter(colors).items() if k > 1), default=None)
+    if best is None:
+        return None
+    return [v for v, c in enumerate(colors) if c == best[1]]
 
 
 def _partition_shape(colors):
@@ -236,9 +278,11 @@ def _partition_shape(colors):
 
 
 def _individualize(adjlist, colors, v):
+    """Refine `colors`, an equitable coloring, with v in a new cell."""
     child = list(colors)
+    # {v} sorts first; the rest of its cell is the last sub-cell
     child[v] = -1
-    return refine_colors(adjlist, child)
+    return refine_colors(adjlist, child, _split=[(v,)])
 
 
 def _leaf_order(colors):
@@ -300,7 +344,7 @@ def automorphism_group(adjlist, known_generators=(), node_budget=2_000_000):
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
-            raise BudgetExceededError(f"automorphism search exceeded {node_budget} nodes")
+            raise BudgetExceededError(node_budget)
 
     # the leftmost descent, kept level by level
     path = []

@@ -16,7 +16,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-from .autgroup import automorphism_group
+from .autgroup import BudgetExceededError, automorphism_group
 from .constructions import induced_order, induced_subgroup, orbit_census
 from .counterexamples import (SearchBudgetError, census_certificates,
                               find_rank_only_pair, verify_certificate)
@@ -292,6 +292,14 @@ def _search_counters(group):
             "first_path_orbits": list(group.orbit_sizes)}
 
 
+def _budget_exhausted(config, results, args, e):
+    """The error report of a search that ran out of --budget: the config
+    with the budget, what was computed before, and the nodes searched."""
+    config["budget"] = args.budget
+    results.update(error=str(e), search_nodes=e.nodes)
+    return config, results, EXIT_ERROR
+
+
 def cmd_automorphisms(args):
     code = EXIT_OK
     if args.graph in ("petersen", "johnson"):
@@ -304,7 +312,10 @@ def cmd_automorphisms(args):
             n = args.n
             g = johnson_graph(n)
             config = {"graph": "johnson", "n": n}
-        group = automorphism_group(g.adjlist, node_budget=args.budget)
+        try:
+            group = automorphism_group(g.adjlist, node_budget=args.budget)
+        except BudgetExceededError as e:
+            return _budget_exhausted(config, {}, args, e)
         results = {
             "vertex_count": len(g.adjlist),
             "automorphism_order": str(group.order()),
@@ -332,8 +343,11 @@ def cmd_automorphisms(args):
         results["induced_order_closed_form"] = str(induced_order(sig))
         results["induced_generator_count"] = len(gens)
         results["induced_generators_verified"] = True
-    group = automorphism_group(
-        graph.adjacency(), known_generators=known, node_budget=args.budget)
+    try:
+        group = automorphism_group(
+            graph.adjacency(), known_generators=known, node_budget=args.budget)
+    except BudgetExceededError as e:
+        return _budget_exhausted(config, results, args, e)
     results["automorphism_order"] = str(group.order())
     results.update(_search_counters(group))
     if args.compare_induced:
@@ -375,7 +389,10 @@ def cmd_verify_lemma(args):
         results = verify_obstruction_lemma(sig)
     else:  # johnson-tau
         sig = _signature(field, sigma_tokens, dims) if field.is_finite else None
-        results = verify_type_action(sig, node_budget=args.budget)
+        try:
+            results = verify_type_action(sig, node_budget=args.budget)
+        except BudgetExceededError as e:
+            return _budget_exhausted(config, {}, args, e)
     if results.get("mode") == "unavailable":
         raise CliError(results.get("reason", "lemma unavailable here"))
     code = EXIT_OK if results.get("holds") else EXIT_DIVERGENCE

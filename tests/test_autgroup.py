@@ -23,6 +23,8 @@ from opgraphs.autgroup import (
     compose,
     identity_perm,
     inverse,
+    _individualize,
+    _target_cell,
     is_automorphism,
     refine_colors,
 )
@@ -271,14 +273,15 @@ def refine_to_fixpoint(adjlist, colors):
 
 @st.composite
 def colored_graphs(draw):
-    n = draw(st.integers(0, 12))
+    n = draw(st.integers(0, 14))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     adj = [set() for _ in range(n)]
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    colors = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    # color values with gaps: refinement ranks them and never indexes by them
+    colors = draw(st.lists(st.sampled_from((-1, 0, 2, 5)), min_size=n, max_size=n))
     if n and draw(st.booleans()):
         colors[draw(st.integers(0, n - 1))] = -1   # individualised
     return tuple(tuple(sorted(a)) for a in adj), colors
@@ -289,3 +292,58 @@ def colored_graphs(draw):
 def test_refine_colors_matches_the_fixpoint_loop(graph):
     adjlist, colors = graph
     assert refine_colors(adjlist, colors) == refine_to_fixpoint(adjlist, colors)
+
+
+def individualized(colors, v):
+    child = list(colors)
+    child[v] = -1
+    return child
+
+
+@st.composite
+def circulant_graphs(draw):
+    """Uniformly colored circulants: vertex-transitive, so individualizing
+    does all the splitting and the cascades run several rounds."""
+    n = draw(st.integers(1, 14))
+    steps = draw(st.sets(st.integers(1, n // 2))) if n > 1 else set()
+    adj = [{(u + d) % n for d in steps} | {(u - d) % n for d in steps}
+           for u in range(n)]
+    return tuple(tuple(sorted(a)) for a in adj), [0] * n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(colored_graphs(), circulant_graphs()), st.data())
+def test_individualize_matches_the_fixpoint_loop(graph, data):
+    # `_individualize` refines only against the cells that split, starting
+    # from {v}; the full recount from the child coloring is the oracle
+    adjlist, colors = graph
+    colors = refine_to_fixpoint(adjlist, colors)
+    for _ in range(data.draw(st.integers(1, 4))):
+        sizes = Counter(colors)
+        open_vertices = [v for v, c in enumerate(colors) if sizes[c] > 1]
+        if not open_vertices:
+            break
+        v = data.draw(st.sampled_from(open_vertices))
+        child = _individualize(adjlist, colors, v)
+        assert child == refine_to_fixpoint(adjlist, individualized(colors, v))
+        colors = child
+
+
+def check_first_path(adjlist, step=1):
+    """Individualize every step-th vertex of each target cell on the
+    leftmost descent, against the full recount."""
+    colors = refine_colors(adjlist, [0] * len(adjlist))
+    while (cell := _target_cell(colors)) is not None:
+        for v in cell[::step]:
+            assert (_individualize(adjlist, colors, v)
+                    == refine_to_fixpoint(adjlist, individualized(colors, v)))
+        colors = _individualize(adjlist, colors, cell[0])
+
+
+def test_individualize_on_petersen_and_johnson():
+    check_first_path(petersen_graph().adjlist)
+    check_first_path(johnson_graph(6).adjlist)
+
+
+def test_individualize_on_the_flagship(flagship_graph):
+    check_first_path(flagship_graph.adjacency(), step=7)

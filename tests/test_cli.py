@@ -154,20 +154,28 @@ def test_automorphisms_compare_induced_on_flagship(capsys):
     assert res["induced_equals_full"] is True
 
 
+K40 = ("--p", "2", "--e", "1", "--sigma", "0,1", "--dims", "1,3")
+GF4_22 = ("--p", "2", "--e", "1", "--sigma", "0,1", "--dims", "2,2")
+FLAGSHIP_INDUCED = ("--fixture", str(FIXTURES / "flagship.json"),
+                    "--compare-induced")
+GRASSMANN_INDUCED = ("--fixture", str(FIXTURES / "grassmann.json"),
+                     "--compare-induced")
+
 # SHA-256 of `automorphisms --generators-out` files, pinned so that a
 # faster chain or refinement cannot change which generators are found
 GENERATOR_FILES = [
-    (("--p", "2", "--e", "1", "--sigma", "0,1", "--dims", "2,2"),
-     "52ca8e0cf40a6a6d9aa87885422498771b92c338da8662d93aab110f94904629"),
-    (("--fixture", str(FIXTURES / "flagship.json"), "--compare-induced"),
+    (GF4_22, "52ca8e0cf40a6a6d9aa87885422498771b92c338da8662d93aab110f94904629"),
+    (FLAGSHIP_INDUCED,
      "7eda3452fa01cde45090d5749227a176792b078de266343059f9f15439bbbb52"),
-    (("--p", "2", "--e", "1", "--sigma", "0,1", "--dims", "1,3"),
-     "b9f37b68f7681f15cb344648cd8f57cab9af63a0da6e042241c1986d72ea3d50"),
+    (K40, "b9f37b68f7681f15cb344648cd8f57cab9af63a0da6e042241c1986d72ea3d50"),
+    (GRASSMANN_INDUCED,
+     "0ec57decdd721d072586483b325cad3cdb43d03aa1b61b5f86e43f0ea43550db"),
 ]
+GENERATOR_IDS = ["GF(4)^4 2,2", "flagship compare-induced", "K40",
+                 "grassmann compare-induced"]
 
 
-@pytest.mark.parametrize("argv, digest", GENERATOR_FILES,
-                         ids=["GF(4)^4 2,2", "flagship compare-induced", "K40"])
+@pytest.mark.parametrize("argv, digest", GENERATOR_FILES, ids=GENERATOR_IDS)
 def test_generator_files_are_pinned(capsys, tmp_path, argv, digest):
     out = tmp_path / "group.json"
     code, _ = run(capsys, "automorphisms", *argv, "--generators-out", str(out))
@@ -175,8 +183,10 @@ def test_generator_files_are_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _ in GENERATOR_FILES],
-                         ids=["GF(4)^4 2,2", "flagship compare-induced", "K40"])
+# grassmann (63!) is left out: closing S_63 with the deterministic chain
+# takes tens of seconds
+@pytest.mark.parametrize("argv", [argv for argv, _ in GENERATOR_FILES[:3]],
+                         ids=GENERATOR_IDS[:3])
 def test_generator_files_generate_the_reported_group(capsys, tmp_path, argv):
     # the deterministic stabilizer chain is the oracle for the order the
     # search reads off its first path
@@ -196,6 +206,26 @@ def test_generator_files_generate_the_reported_group(capsys, tmp_path, argv):
     assert str(prod(res["first_path_orbits"])) == group["order"]
 
 
+# the search tree's shape, pinned so that a faster refinement cannot
+# change it: K_n costs n(n+1)/2 nodes, one per (level, sibling) pair
+SEARCH_TREES = [
+    (K40, 820, list(range(40, 1, -1))),
+    (GF4_22, 37, [240, 4, 2, 9, 2, 3]),
+    (FLAGSHIP_INDUCED, 24, [378, 2, 3, 4, 2, 4]),
+    (GRASSMANN_INDUCED, 1896, list(range(63, 1, -1))),
+]
+
+
+@pytest.mark.parametrize("argv, nodes, orbits", SEARCH_TREES,
+                         ids=["K40", "GF(4)^4 2,2", "flagship compare-induced",
+                              "grassmann compare-induced"])
+def test_search_trees_are_pinned(capsys, argv, nodes, orbits):
+    code, rep = run(capsys, "automorphisms", *argv)
+    assert code == 0
+    assert rep["results"]["search_nodes"] == nodes
+    assert rep["results"]["first_path_orbits"] == orbits
+
+
 def test_automorphisms_report_search_counters(capsys):
     code, rep = run(capsys, "automorphisms", "--graph", "petersen")
     assert code == 0
@@ -209,6 +239,27 @@ def test_automorphisms_report_search_counters(capsys):
     code, rep = run(capsys, "automorphisms", "--graph", "petersen",
                     "--budget", str(nodes - 1))
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("automorphisms", *K40),
+    ("automorphisms", *FLAGSHIP_INDUCED),
+    ("automorphisms", "--graph", "petersen"),
+    ("verify-lemma", "--fixture", str(FIXTURES / "flagship.json"),
+     "--lemma", "johnson-tau"),
+], ids=["K40", "flagship compare-induced", "petersen", "johnson-tau"])
+def test_budget_errors_echo_the_config_and_the_work(capsys, argv):
+    code, done = run(capsys, *argv)
+    assert code == 0
+    code, rep = run(capsys, *argv, "--budget", "5")
+    assert code == 1
+    assert rep["config"] == {**done["config"], "budget": 5}
+    res = rep["results"]
+    assert res["error"] == "automorphism search exceeded 5 nodes"
+    assert res["search_nodes"] == 5
+    # what was computed before the search ran out is kept as it was
+    kept = {k: v for k, v in res.items() if k not in ("error", "search_nodes")}
+    assert kept.items() <= done["results"].items()
 
 
 def test_verify_lemma_a1a2_equiv(capsys):
