@@ -388,9 +388,10 @@ def cmd_verify_lemma(args):
         _check_slots(sig, 0, 1, 2)
         results = verify_obstruction_lemma(sig)
     else:  # johnson-tau
-        sig = _signature(field, sigma_tokens, dims) if field.is_finite else None
+        sig = _signature(field, sigma_tokens, dims)
         try:
-            results = verify_type_action(sig, node_budget=args.budget)
+            results = verify_type_action(sig if field.is_finite else None,
+                                         node_budget=args.budget)
         except BudgetExceededError as e:
             return _budget_exhausted(config, {}, args, e)
     if results.get("mode") == "unavailable":
@@ -439,9 +440,9 @@ def cmd_counterexample(args):
     try:
         found, cert = find_rank_only_pair(
             base, seed=seed, attempts=args.budget)
-    except SearchBudgetError:
+    except SearchBudgetError as e:
         results = {"mode": "randomized", "outcome": "budget-exhausted",
-                   "attempts": args.budget}
+                   "attempts": args.budget, "error": str(e)}
         return config, results, EXIT_ERROR
     checks = verify_certificate(field, cert)
     results = {

@@ -113,7 +113,7 @@ def perturbation_from_vector(flag: EigenFlag, v):
     return None
 
 
-def find_rank_only_pair(flag: EigenFlag, seed=0, attempts=200, height=3):
+def find_rank_only_pair(flag: EigenFlag, seed=0, attempts=200):
     """Random-restart wrapper around the targeted perturbation.
 
     Returns a flag B in the class of `flag` with rank(B - A) = 2 and
@@ -123,7 +123,7 @@ def find_rank_only_pair(flag: EigenFlag, seed=0, attempts=200, height=3):
     f = flag.signature.field
     rng = Random(seed)
     for _ in range(attempts):
-        v = random_vector(f, flag.signature.ambient, rng, height)
+        v = random_vector(f, flag.signature.ambient, rng, height=3)
         if all(x == f.zero for x in v):
             continue
         B = perturbation_from_vector(flag, v)

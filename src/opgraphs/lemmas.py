@@ -302,8 +302,11 @@ def verify_type_action(sig=None, node_budget=2_000_000):
     Reference side: the pair graphs J(k,2) have the expected
     automorphism counts, and for k=4 the complement map is an
     automorphism that no point permutation induces.  Class side (finite
-    backends): the full automorphism group is computed, every generator
-    carries a well-defined label map, and each label map is classified.
+    backends): the full automorphism group is computed, and each of its
+    generators, the natural ones (tagged by kind) and the ones the
+    search found (tagged "search"), must carry a well-defined label
+    map, which is classified.  Coherent label maps compose, so these
+    generators cover all of Aut.
     """
     report = {"lemma": "johnson-tau"}
     expected = {3: 6, 4: 48, 5: 120}
@@ -327,9 +330,13 @@ def verify_type_action(sig=None, node_budget=2_000_000):
             graph.adjacency(),
             known_generators=[p for _, _, p in gens],
             node_budget=node_budget)
+        perms = full.generators()
+        # the known generators come first, in the order given
+        kinds = [kind for kind, _, _ in gens]
+        kinds += ["search"] * (len(perms) - len(gens))
         label_maps = []
         well_defined = True
-        for kind, data, perm in gens:
+        for kind, perm in zip(kinds, perms):
             try:
                 tau = induced_type_map(graph, perm)
             except TypeMapError:

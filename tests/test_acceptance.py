@@ -135,7 +135,7 @@ def test_criterion_04_counterexamples_on_both_backends(
     # rational search: fixed seed, bounded entries, well under a minute
     base = coordinate_flag(qi_sig)
     start = time.perf_counter()
-    found, cert = find_rank_only_pair(base, seed=0, height=3)
+    found, cert = find_rank_only_pair(base, seed=0)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     assert rank_condition(base, found)

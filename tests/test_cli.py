@@ -393,6 +393,7 @@ def test_counterexample_budget_exhaustion(capsys):
     assert code == 1
     assert rep["results"]["outcome"] == "budget-exhausted"
     assert rep["results"]["attempts"] == 1
+    assert rep["results"]["error"] == "no certified pair within 1 attempts"
 
 
 def test_counterexample_two_eigenvalues_is_vacuous(capsys):
@@ -455,6 +456,8 @@ NO_DIR = "no-such-dir/report.json"    # under tmp_path, so never writable
     ("automorphisms", "--graph", "johnson", "--n", "1"),
     ("counterexample", "--backend", "qi", "--sigma", "1,2,3", "--budget", "-5"),
     ("counterexample", "--backend", "qi", "--sigma", "1,2,3", "--budget", "0"),
+    ("verify-lemma", "--backend", "qi", "--sigma", "1,1,2",
+     "--lemma", "johnson-tau"),
     # rejected by argparse itself
     ("enumerate", "--p", "x"),
     ("enumerate", "--dims", "-1,4"),

@@ -170,6 +170,18 @@ def test_type_action_reports_orders_as_strings(flagship_sig):
             == graph["automorphism_order"] == "72576")
 
 
+def test_type_action_classifies_every_generator_of_the_full_group(
+        flagship_sig):
+    # the natural generators hold by construction; the ones the search
+    # found are what the class-side check is for
+    report = verify_type_action(flagship_sig)
+    maps = report["class_graph"]["generators"]
+    assert ([m["generator"] == "search" for m in maps]
+            == [False] * 10 + [True] * 6)
+    assert {m["classified"] for m in maps} == {"permutation"}
+    assert report["holds"]
+
+
 def test_type_action_lets_unexpected_errors_through(monkeypatch):
     # only an incoherent label map (TypeMapError) reads as "does not hold"
     def broken(graph, perm):
