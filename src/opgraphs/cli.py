@@ -162,6 +162,13 @@ def _check_slots(sig, *slots):
         raise CliError(f"slot indices must be distinct, got {given}")
 
 
+def _refuse_slots(args, user, *names):
+    """A slot option the command does not read is a usage error."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise CliError(f"{user} takes no --{name}")
+
+
 def _check_contraction(sig, i, j):
     """Slots i, j can be merged: valid, distinct, and a third slot is left."""
     if sig.k < 3:
@@ -233,8 +240,11 @@ def cmd_components(args):
         j = 2 if args.j is None else args.j
         _check_contraction(sig, i, j)
     elif args.type == "ibar":
+        _refuse_slots(args, "components --type ibar", "j")
         i = 2 if args.i is None else args.i
         _check_slots(sig, i)
+    else:
+        _refuse_slots(args, "components --type global", "i", "j")
     graph = LabeledGraph.build(sig)
     config["type"] = args.type
     code = EXIT_OK
@@ -366,6 +376,8 @@ def cmd_automorphisms(args):
 def cmd_verify_lemma(args):
     field, sigma_tokens, dims, seed, config = _resolve(args)
     config["lemma"] = args.lemma
+    if args.lemma != "lift":
+        _refuse_slots(args, f"verify-lemma --lemma {args.lemma}", "i", "j")
     if args.lemma == "a1a2-equiv":
         sig = _signature(field, sigma_tokens, dims)
         results = verify_move_equivalence(sig, samples=args.samples, seed=seed)
@@ -376,12 +388,14 @@ def cmd_verify_lemma(args):
         _check_contraction(sig, args.i, args.j)
         results = verify_fiber_lift(sig, args.i, args.j)
     elif args.lemma == "swap":
+        if args.dims is not None and dims != [1, 1, 1, 1]:
+            raise CliError("the swap move runs on dims 1,1,1,1")
         sigma = None
         if args.sigma is not None:
             sigma = _sigma(field, sigma_tokens)
-            if len(set(sigma)) < 4:
+            if len(sigma) != 4 or len(set(sigma)) < 4:
                 raise CliError(
-                    "the swap move needs at least four distinct eigenvalues")
+                    "the swap move needs exactly four distinct eigenvalues")
         results = verify_swap_lemma(field, sigma=sigma)
     elif args.lemma == "obstruction":
         sig = _signature(field, sigma_tokens, dims)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-from .linalg import rank_of_rows
+from .enumeration import subspaces_within
 from .spectral import contract, enumerate_class
 
 
@@ -27,11 +27,11 @@ class BlockMapError(RuntimeError):
 class LabeledGraph:
     """Finite class graph with slot-pair edge labels."""
 
-    def __init__(self, vertices, edges, edge_type):
+    def __init__(self, vertices, edge_type):
         self.vertices = tuple(vertices)
         self.index = {flag.key(): v for v, flag in enumerate(self.vertices)}
-        self.edges = tuple(sorted(edges))
         self.edge_type = dict(edge_type)
+        self.edges = tuple(sorted(self.edge_type))
         self._adjlist = None
 
     @classmethod
@@ -43,27 +43,27 @@ class LabeledGraph:
         flags X, Y of one (i, j) bucket share the nondegenerate summand
         W = X_i + X_j, so X_j ∩ Y_j = (X_i + Y_i)^⊥ ∩ W and the slot-j
         spaces meet in a hyperplane exactly when the slot-i spaces do.
-        One rank test on the smaller slot decides the pair.
+        The edges of a bucket are its pairs that share a hyperplane of
+        the smaller slot, and distinct spaces share at most one.
         """
         if flags is None:
             flags = enumerate_class(signature)
         flags = sorted(flags, key=lambda f: f.key())
-        k, dims, field = signature.k, signature.dims, signature.field
-        edges = []
+        if any(a.key() == b.key() for a, b in zip(flags, flags[1:])):
+            raise ValueError("flags repeat a flag")
+        k, dims = signature.k, signature.dims
         edge_type = {}
         for i, j in combinations(range(k), 2):
             s = i if dims[i] <= dims[j] else j
             buckets = {}
             for v, flag in enumerate(flags):
                 frozen = tuple(flag.spaces[t].rows for t in range(k) if t not in (i, j))
-                buckets.setdefault(frozen, []).append(v)
-            for members in buckets.values():
-                for a, b in combinations(members, 2):
-                    rows = flags[a].spaces[s].rows + flags[b].spaces[s].rows
-                    if rank_of_rows(field, rows) == dims[s] + 1:
-                        edges.append((a, b))
-                        edge_type[(a, b)] = (i, j)
-        return cls(flags, edges, edge_type)
+                for H in subspaces_within(flag.spaces[s], dims[s] - 1):
+                    buckets.setdefault(frozen, {}).setdefault(H.rows, []).append(v)
+            for keys in buckets.values():
+                pairs = sorted(p for vs in keys.values() for p in combinations(vs, 2))
+                edge_type.update(dict.fromkeys(pairs, (i, j)))
+        return cls(flags, edge_type)
 
     @property
     def n(self):

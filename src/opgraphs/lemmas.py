@@ -215,14 +215,13 @@ def verify_swap_lemma(field, sigma=None):
     The base flag is coordinate; the second flag resplits slots {0,1}
     and {2,3} inside their planes.  The mixed flag must be adjacent to
     the base exactly at {2,3} and to the second flag exactly at {0,1}.
-    Needs at least four distinct eigenvalues; shorter explicit sigmas
-    are rejected.
+    An explicit sigma must be exactly four distinct eigenvalues.
     """
     if sigma is not None:
-        if len(set(sigma)) < 4:
+        if len(sigma) != 4 or len(set(sigma)) < 4:
             raise ValueError(
-                "the swap move needs at least four distinct eigenvalues")
-        sigma = tuple(sigma[:4])
+                "the swap move needs exactly four distinct eigenvalues")
+        sigma = tuple(sigma)
     elif field.is_finite:
         need = 4
         fixed = field.fixed_elements()

@@ -306,6 +306,14 @@ def test_verify_lemma_swap_over_qi_and_gf16(capsys):
     assert rep["results"]["holds"]
 
 
+def test_verify_lemma_swap_takes_its_own_class(capsys):
+    # the class it runs is the one the config echoes
+    code, rep = run(capsys, "verify-lemma", "--lemma", "swap", "--p", "2",
+                    "--e", "2", "--sigma", "0,1,2,3", "--dims", "1,1,1,1")
+    assert code == 0
+    assert rep["config"]["dims"] == rep["results"]["signature"]["dims"] == [1, 1, 1, 1]
+
+
 def test_verify_lemma_obstruction(capsys):
     code, rep = run(capsys, "verify-lemma", "--lemma", "obstruction")
     assert code == 0
@@ -524,6 +532,21 @@ def test_error_reports_name_unexpected_exceptions(capsys, tmp_path,
      "--lemma", "lift"),
     ("verify-lemma", "--p", "3", "--e", "1", "--sigma", "0,1,2",
      "--dims", "1,1,2", "--lemma", "obstruction"),
+    ("verify-lemma", "--fixture", "flagship.json", "--lemma", "a1a2-equiv",
+     "--i", "0", "--j", "1"),
+    ("verify-lemma", "--fixture", "flagship.json", "--lemma", "obstruction",
+     "--i", "0"),
+    ("verify-lemma", "--fixture", "flagship.json", "--lemma", "johnson-tau",
+     "--j", "1"),
+    ("verify-lemma", "--p", "2", "--e", "2", "--lemma", "swap", "--i", "0"),
+    ("components", "--fixture", "flagship.json", "--type", "global", "--i", "0"),
+    ("components", "--fixture", "flagship.json", "--type", "global", "--j", "1"),
+    ("components", "--fixture", "flagship.json", "--type", "ibar", "--j", "1"),
+    ("verify-lemma", "--lemma", "swap", "--p", "2", "--e", "2",
+     "--sigma", "0,1,2,3", "--dims", "1,1"),
+    ("verify-lemma", "--lemma", "swap", "--backend", "qi", "--sigma", "1,2,3,4,5"),
+    ("verify-lemma", "--lemma", "swap", "--p", "2", "--e", "2",
+     "--sigma", "0,0,1,2,3"),
 ], ids=" ".join)
 def test_bad_field_or_class_is_a_usage_error(capsys, argv):
     argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]

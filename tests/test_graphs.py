@@ -91,6 +91,23 @@ def test_build_matches_a_scan_of_every_bucket_pair(name, field, sigma, dims):
     assert graph.edges == tuple(sorted(edge_type))
 
 
+def test_build_refuses_a_repeated_flag(flagship_sig, flagship_flags):
+    # two copies of one flag would share every hyperplane key
+    flags = list(flagship_flags)
+    with pytest.raises(ValueError, match="repeat"):
+        LabeledGraph.build(flagship_sig, flags + flags[:1])
+
+
+def test_gf9_planes_graph_is_pinned():
+    # GF(9)^4 (2,2): the smaller slot is a plane, so each flag is filed
+    # under the q^2 + 1 = 10 lines of its slot; the numbers come from
+    # the per-pair rank test that the hyperplane keys replaced
+    graph = LabeledGraph.build(signature(galois_field(3, 1), ("0", "1"), (2, 2)))
+    assert graph.n == 5670
+    assert len(graph.edges) == 1961820
+    assert graph.degree_histogram() == {692: 5670}
+
+
 def test_pair_components_are_the_fibers(flagship_graph):
     comps = flagship_graph.ij_components(1, 2)
     fibers = flagship_graph.fiber_partition(1, 2)

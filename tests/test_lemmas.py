@@ -111,6 +111,12 @@ def test_swap_unavailable_over_gf9(f9):
         verify_swap_lemma(f9, sigma=tuple(f9.fixed_elements()))
 
 
+def test_swap_refuses_a_sigma_that_is_not_four_values():
+    five = tuple(QI.parse_fixed(str(t)) for t in (1, 2, 3, 4, 5))
+    with pytest.raises(ValueError, match="exactly four"):
+        verify_swap_lemma(QI, sigma=five)
+
+
 def test_obstruction_pinned_over_the_rationals(qi_sig):
     report = verify_obstruction_lemma(qi_sig)
     assert report["mode"] == "pinned"
