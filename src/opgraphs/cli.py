@@ -344,7 +344,8 @@ def cmd_automorphisms(args):
     _require_finite(field)
     sig = _signature(field, sigma_tokens, dims)
     graph = LabeledGraph.build(sig)
-    results = {"vertex_count": graph.n, "edge_count": len(graph.edges)}
+    results = {"vertex_count": graph.n,
+               "edge_count": sum(map(len, graph.adjacency())) // 2}
     known = ()
     if args.compare_induced:
         chain_ind, gens = induced_subgroup(graph)
@@ -390,12 +391,16 @@ def cmd_verify_lemma(args):
     elif args.lemma == "swap":
         if args.dims is not None and dims != [1, 1, 1, 1]:
             raise CliError("the swap move runs on dims 1,1,1,1")
-        sigma = None
-        if args.sigma is not None:
-            sigma = _sigma(field, sigma_tokens)
-            if len(sigma) != 4 or len(set(sigma)) < 4:
-                raise CliError(
-                    "the swap move needs exactly four distinct eigenvalues")
+        if args.sigma is None:
+            # the lemma's own class: the first four fixed elements
+            if field.is_finite and len(field.fixed_elements()) < 4:
+                raise CliError("four distinct fixed eigenvalues do not exist")
+            sigma_tokens = list("0123" if field.is_finite else "1234")
+        sigma = _sigma(field, sigma_tokens)
+        if len(sigma) != 4 or len(set(sigma)) < 4:
+            raise CliError(
+                "the swap move needs exactly four distinct eigenvalues")
+        config["sigma"], config["dims"] = sigma_tokens, [1, 1, 1, 1]
         results = verify_swap_lemma(field, sigma=sigma)
     elif args.lemma == "obstruction":
         sig = _signature(field, sigma_tokens, dims)

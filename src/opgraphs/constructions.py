@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 
 from .autgroup import StabChain, is_automorphism
-from .linalg import Matrix, Subspace, herm_form
+from .linalg import Matrix, Subspace, herm_form, matvec
 from .spectral import (ADJACENT, RANK_ONLY, RANK_OTHER, EigenFlag,
                        SdPermutation, pair_verdict)
 
@@ -82,9 +82,11 @@ def unitary_generators(field, n):
     # below the target the chain closes fully, so `add` reports growth
     # exactly as without the stop
     chain = StabChain(len(points), known_order=target)
+    # the isometries share rows: row r gives coordinate r · v of each image
+    column = lru_cache(maxsize=None)(lambda r: matvec(field, points, r))
     gens = []
     for M in isometries:
-        if chain.add(tuple(index[tuple(M.apply(v))] for v in points)):
+        if chain.add(tuple(index[v] for v in zip(*map(column, M.rows)))):
             gens.append(M)
             if chain.order() == target:
                 return tuple(gens)
@@ -457,11 +459,7 @@ def reverse_middle_flags(graph, A, B, i, j, t):
     """
     va = graph.index[A.key()]
     vb = graph.index[B.key()]
-
-    def label(u, v):
-        return graph.edge_type.get((min(u, v), max(u, v)))
-
     first = tuple(sorted((j, t)))
     second = tuple(sorted((i, j)))
     return [v for v in graph.adjacency()[va]
-            if label(v, va) == first and label(v, vb) == second]
+            if graph.label(v, va) == first and graph.label(v, vb) == second]

@@ -25,14 +25,15 @@ class BlockMapError(RuntimeError):
 
 
 class LabeledGraph:
-    """Finite class graph with slot-pair edge labels."""
+    """Finite class graph stored as `cliques`: (slot pair, sorted vertex
+    tuple) per key of `build`, every edge in exactly one clique."""
 
-    def __init__(self, vertices, edge_type):
+    def __init__(self, vertices, cliques):
         self.vertices = tuple(vertices)
         self.index = {flag.key(): v for v, flag in enumerate(self.vertices)}
-        self.edge_type = dict(edge_type)
-        self.edges = tuple(sorted(self.edge_type))
+        self.cliques = tuple(cliques)
         self._adjlist = None
+        self._cliques_at = None
 
     @classmethod
     def build(cls, signature, flags=None):
@@ -43,8 +44,8 @@ class LabeledGraph:
         flags X, Y of one (i, j) bucket share the nondegenerate summand
         W = X_i + X_j, so X_j ∩ Y_j = (X_i + Y_i)^⊥ ∩ W and the slot-j
         spaces meet in a hyperplane exactly when the slot-i spaces do.
-        The edges of a bucket are its pairs that share a hyperplane of
-        the smaller slot, and distinct spaces share at most one.
+        The flags of a bucket sharing a hyperplane of the smaller slot
+        form a clique, and distinct spaces share at most one.
         """
         if flags is None:
             flags = enumerate_class(signature)
@@ -52,72 +53,75 @@ class LabeledGraph:
         if any(a.key() == b.key() for a, b in zip(flags, flags[1:])):
             raise ValueError("flags repeat a flag")
         k, dims = signature.k, signature.dims
-        edge_type = {}
+        cliques = []
         for i, j in combinations(range(k), 2):
             s = i if dims[i] <= dims[j] else j
-            buckets = {}
+            keys = {}
             for v, flag in enumerate(flags):
                 frozen = tuple(flag.spaces[t].rows for t in range(k) if t not in (i, j))
                 for H in subspaces_within(flag.spaces[s], dims[s] - 1):
-                    buckets.setdefault(frozen, {}).setdefault(H.rows, []).append(v)
-            for keys in buckets.values():
-                pairs = sorted(p for vs in keys.values() for p in combinations(vs, 2))
-                edge_type.update(dict.fromkeys(pairs, (i, j)))
-        return cls(flags, edge_type)
+                    keys.setdefault((frozen, H.rows), []).append(v)
+            cliques.extend(((i, j), tuple(vs)) for vs in keys.values() if len(vs) > 1)
+        return cls(flags, cliques)
 
     @property
     def n(self):
         return len(self.vertices)
 
+    @property
+    def edges(self):
+        """Every edge (u, v) with u < v, sorted."""
+        return tuple(sorted(e for _, vs in self.cliques for e in combinations(vs, 2)))
+
     def adjacency(self):
         if self._adjlist is None:
             nbrs = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                nbrs[u].append(v)
-                nbrs[v].append(u)
-            self._adjlist = tuple(tuple(sorted(x)) for x in nbrs)
+            for _, vs in self.cliques:
+                for v in vs:
+                    nbrs[v] += vs
+            self._adjlist = tuple(tuple(sorted(w for w in x if w != v))
+                                  for v, x in enumerate(nbrs))
         return self._adjlist
 
     def degree_histogram(self):
         return Counter(len(nbrs) for nbrs in self.adjacency())
 
-    def edges_of_type(self, slots):
-        slots = tuple(sorted(slots))
-        return tuple(e for e in self.edges if self.edge_type[e] == slots)
-
-    def restricted_adjacency(self, keep):
-        """Adjacency list using only edges whose label passes the filter."""
-        nbrs = [[] for _ in range(self.n)]
-        for e in self.edges:
-            if keep(self.edge_type[e]):
-                u, v = e
-                nbrs[u].append(v)
-                nbrs[v].append(u)
-        return tuple(tuple(sorted(x)) for x in nbrs)
+    def label(self, u, v):
+        """The slot pair of the edge {u, v}, or None for a non-edge."""
+        if self._cliques_at is None:
+            self._cliques_at = [[] for _ in range(self.n)]
+            for t, vs in self.cliques:
+                c = (t, frozenset(vs))
+                for w in vs:
+                    self._cliques_at[w].append(c)
+        if u != v:
+            for t, vs in self._cliques_at[u]:
+                if v in vs:
+                    return t
+        return None
 
     def components(self, keep=None):
         """Connected components, optionally restricted by edge label.
 
+        A union-find over the cliques whose label passes `keep`.
         Returns a sorted tuple of sorted vertex tuples.
         """
-        adj = self.adjacency() if keep is None else self.restricted_adjacency(keep)
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            comp = [start]
-            seen[start] = True
-            queue = [start]
-            while queue:
-                x = queue.pop()
-                for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.append(y)
-                        queue.append(y)
-            out.append(tuple(sorted(comp)))
-        return tuple(sorted(out))
+        parent = list(range(self.n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for t, vs in self.cliques:
+            if keep is None or keep(t):
+                root = find(vs[0])
+                for v in vs[1:]:
+                    parent[find(v)] = root
+        comps = {}
+        for v in range(self.n):
+            comps.setdefault(find(v), []).append(v)
+        return tuple(sorted(tuple(c) for c in comps.values()))
 
     def ij_components(self, i, j):
         """Components of the subgraph keeping only (i, j)-labeled edges."""
@@ -149,11 +153,6 @@ class LabeledGraph:
             groups.setdefault(contract(flag, i, j).key(), []).append(v)
         return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
-    def is_edge(self, u, v):
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edge_type
-
 
 def induced_type_map(graph, perm):
     """How a vertex permutation moves edge labels.
@@ -164,18 +163,16 @@ def induced_type_map(graph, perm):
     label -> label.
     """
     tau = {}
-    for (u, v), t in graph.edge_type.items():
-        a, b = perm[u], perm[v]
-        if a > b:
-            a, b = b, a
-        t2 = graph.edge_type.get((a, b))
-        if t2 is None:
-            raise TypeMapError(
-                f"image of edge {(u, v)} under the permutation is not an edge")
-        if t in tau and tau[t] != t2:
-            raise TypeMapError(
-                f"label {t} maps to both {tau[t]} and {t2}")
-        tau[t] = t2
+    for t, vs in graph.cliques:
+        for u, v in combinations(vs, 2):
+            t2 = graph.label(perm[u], perm[v])
+            if t2 is None:
+                raise TypeMapError(
+                    f"image of edge {(u, v)} under the permutation is not an edge")
+            if t in tau and tau[t] != t2:
+                raise TypeMapError(
+                    f"label {t} maps to both {tau[t]} and {t2}")
+            tau[t] = t2
     return tau
 
 

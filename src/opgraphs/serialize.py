@@ -58,18 +58,7 @@ def load_pair(path):
 
 
 # ---------------------------------------------------------------------------
-# graphs, partitions, groups
-
-
-def graph_to_json(graph):
-    sig = graph.vertices[0].signature
-    return {
-        "field": sig.field.descriptor(),
-        "signature": sig.to_json(),
-        "vertex_count": graph.n,
-        "vertices": [[X.to_json() for X in fl.spaces] for fl in graph.vertices],
-        "edges": [[u, v, list(graph.edge_type[(u, v)])] for u, v in graph.edges],
-    }
+# partitions and groups
 
 
 def group_to_json(order, generators):
@@ -90,15 +79,16 @@ EDGE_PALETTE = ("#1b9e77", "#d95f02", "#7570b3",
 
 
 def graph_to_dot(graph, name="classgraph"):
-    types = sorted({graph.edge_type[e] for e in graph.edges})
+    edges = graph.edges
+    labels = [graph.label(u, v) for u, v in edges]
+    types = sorted(set(labels))
     color = {t: EDGE_PALETTE[i % len(EDGE_PALETTE)]
              for i, t in enumerate(types)}
     lines = [f"graph {name} {{", "  node [shape=point];"]
     for t in types:
         lines.append(f"  // slots {t[0]},{t[1]} -> {color[t]}")
-    for u, v in graph.edges:
-        c = color[graph.edge_type[(u, v)]]
-        lines.append(f'  v{u} -- v{v} [color="{c}"];')
+    for (u, v), t in zip(edges, labels):
+        lines.append(f'  v{u} -- v{v} [color="{color[t]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -266,7 +266,8 @@ def test_criterion_10_eigenvalue_relabel_isomorphism(
     same_vertices = ([f.key() for f in relabeled.vertices]
                      == [f.key() for f in flagship_graph.vertices])
     same_edges = relabeled.edges == flagship_graph.edges
-    same_types = relabeled.edge_type == flagship_graph.edge_type
+    same_types = all(relabeled.label(u, v) == flagship_graph.label(u, v)
+                     for u, v in flagship_graph.edges)
     assert same_vertices and same_edges and same_types
     acceptance(
         "criterion 10: relabeling the spectrum (0,1,2)->(1,2,0) leaves the "

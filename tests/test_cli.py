@@ -307,11 +307,14 @@ def test_verify_lemma_swap_over_qi_and_gf16(capsys):
 
 
 def test_verify_lemma_swap_takes_its_own_class(capsys):
-    # the class it runs is the one the config echoes
-    code, rep = run(capsys, "verify-lemma", "--lemma", "swap", "--p", "2",
-                    "--e", "2", "--sigma", "0,1,2,3", "--dims", "1,1,1,1")
-    assert code == 0
-    assert rep["config"]["dims"] == rep["results"]["signature"]["dims"] == [1, 1, 1, 1]
+    # the class it runs is the one the config echoes, given or not
+    for argv in (("--p", "2", "--e", "2", "--sigma", "0,1,2,3", "--dims", "1,1,1,1"),
+                 ("--p", "2", "--e", "2"),
+                 ("--backend", "qi")):
+        code, rep = run(capsys, "verify-lemma", "--lemma", "swap", *argv)
+        assert code == 0
+        assert rep["config"]["dims"] == rep["results"]["signature"]["dims"] == [1, 1, 1, 1]
+        assert len(rep["config"]["sigma"]) == 4
 
 
 def test_verify_lemma_obstruction(capsys):

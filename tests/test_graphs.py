@@ -1,5 +1,6 @@
 """Class graphs, their label structure, and the reference graphs."""
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
@@ -31,7 +32,8 @@ def test_flagship_graph_shape(flagship_graph):
     assert len(g.edges) == 2835
     assert g.degree_histogram() == {15: 378}
     for slots in ((0, 1), (0, 2), (1, 2)):
-        assert len(g.edges_of_type(slots)) == 945
+        sizes = [len(vs) for t, vs in g.cliques if t == slots]
+        assert sum(s * (s - 1) // 2 for s in sizes) == 945
 
 
 def test_flagship_graph_agrees_with_census(flagship_graph, flagship_census):
@@ -40,7 +42,7 @@ def test_flagship_graph_agrees_with_census(flagship_graph, flagship_census):
     assert got == want
     types = {e: t for e, t in flagship_census.edges}
     for e in flagship_graph.edges:
-        assert flagship_graph.edge_type[e] == types[e]
+        assert flagship_graph.label(*e) == types[e]
 
 
 def test_grassmann_graph_is_complete(grassmann_graph):
@@ -48,14 +50,14 @@ def test_grassmann_graph_is_complete(grassmann_graph):
     assert g.n == 63
     assert len(g.edges) == 63 * 62 // 2
     assert g.degree_histogram() == {62: 63}
-    assert all(t == (0, 1) for t in g.edge_type.values())
+    assert all(t == (0, 1) for t, _ in g.cliques)
 
 
 def _bucket_scan(sig, flags):
     """Edge labels by `adjacency_slots` on every pair of flags that agree
-    off two slots, in the order `LabeledGraph.build` visits the pairs."""
+    off two slots."""
     flags = sorted(flags, key=lambda f: f.key())
-    edge_type = {}
+    labels = {}
     for i, j in combinations(range(sig.k), 2):
         buckets = {}
         for v, flag in enumerate(flags):
@@ -64,8 +66,31 @@ def _bucket_scan(sig, flags):
         for members in buckets.values():
             for a, b in combinations(members, 2):
                 if adjacency_slots(flags[a], flags[b]) == (i, j):
-                    edge_type[(a, b)] = (i, j)
-    return flags, edge_type
+                    labels[(a, b)] = (i, j)
+    return flags, labels
+
+
+def _search_components(n, edges):
+    """Connected components by depth-first search over an edge list."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp, stack = [start], [start]
+        while stack:
+            for y in nbrs[stack.pop()]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+                    stack.append(y)
+        out.append(tuple(sorted(comp)))
+    return tuple(sorted(out))
 
 
 BUILD_CLASSES = [
@@ -77,18 +102,35 @@ BUILD_CLASSES = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _built_and_scanned(field, sigma, dims):
+    sig = signature(galois_field(*field), sigma, dims)
+    flags = enumerate_class(sig)
+    return LabeledGraph.build(sig, flags), _bucket_scan(sig, flags)
+
+
 @pytest.mark.parametrize("name,field,sigma,dims", BUILD_CLASSES,
                          ids=[c[0] for c in BUILD_CLASSES])
 def test_build_matches_a_scan_of_every_bucket_pair(name, field, sigma, dims):
-    # one rank test on the smaller slot decides what adjacency_slots
-    # decides with one test per moved slot
-    sig = signature(galois_field(*field), sigma, dims)
-    flags = enumerate_class(sig)
-    graph = LabeledGraph.build(sig, flags)
-    vertices, edge_type = _bucket_scan(sig, flags)
+    graph, (vertices, scan) = _built_and_scanned(field, sigma, dims)
     assert graph.vertices == tuple(vertices)
-    assert list(graph.edge_type.items()) == list(edge_type.items())
-    assert graph.edges == tuple(sorted(edge_type))
+    pairs = [(e, t) for t, vs in graph.cliques for e in combinations(vs, 2)]
+    assert len(dict(pairs)) == len(pairs)  # no edge in two cliques
+    assert dict(pairs) == scan
+    assert graph.edges == tuple(sorted(scan))
+
+
+@pytest.mark.parametrize("name,field,sigma,dims", BUILD_CLASSES,
+                         ids=[c[0] for c in BUILD_CLASSES])
+def test_components_match_a_search_of_the_scan(name, field, sigma, dims):
+    graph, (_, scan) = _built_and_scanned(field, sigma, dims)
+    k = len(dims)
+    keeps = [None]
+    keeps += [lambda t, p=p: t == p for p in combinations(range(k), 2)]
+    keeps += [lambda t, i=i: i not in t for i in range(k)]
+    for keep in keeps:
+        kept = [e for e, t in scan.items() if keep is None or keep(t)]
+        assert graph.components(keep) == _search_components(graph.n, kept)
 
 
 def test_build_refuses_a_repeated_flag(flagship_sig, flagship_flags):
@@ -106,6 +148,8 @@ def test_gf9_planes_graph_is_pinned():
     assert graph.n == 5670
     assert len(graph.edges) == 1961820
     assert graph.degree_histogram() == {692: 5670}
+    # one clique per 1-space of GF(9)^4, that is per point of PG(3, 9)
+    assert len(graph.cliques) == 820
 
 
 def test_pair_components_are_the_fibers(flagship_graph):
@@ -128,12 +172,15 @@ def test_flagship_graph_is_connected(flagship_graph):
     assert len(flagship_graph.components()) == 1
 
 
-def test_is_edge_and_restriction(flagship_graph):
+def test_label_and_restriction(flagship_graph):
     g = flagship_graph
     u, v = g.edges[0]
-    assert g.is_edge(u, v) and g.is_edge(v, u)
-    adj = g.restricted_adjacency(lambda t: t == (0, 1))
-    assert sum(len(nbrs) for nbrs in adj) == 2 * 945
+    assert g.label(u, v) is not None and g.label(v, u) == g.label(u, v)
+    assert g.label(u, u) is None
+    # the (0, 1)-edges form 63 six-cliques, 945 edges, one per fiber
+    kept = [vs for t, vs in g.cliques if t == (0, 1)]
+    assert sum(len(vs) * (len(vs) - 1) // 2 for vs in kept) == 945
+    assert g.components(lambda t: t == (0, 1)) == tuple(sorted(kept))
 
 
 def test_induced_type_map_identity(flagship_graph):
@@ -146,7 +193,7 @@ def test_induced_type_map_rejects_non_automorphisms(flagship_graph):
     g = flagship_graph
     u, v = g.edges[0]
     # find w not adjacent to u, then swapping v and w breaks some edge
-    w = next(x for x in range(g.n) if x not in (u, v) and not g.is_edge(u, x))
+    w = next(x for x in range(g.n) if x not in (u, v) and g.label(u, x) is None)
     perm = list(range(g.n))
     perm[v], perm[w] = perm[w], perm[v]
     with pytest.raises(TypeMapError):

@@ -9,7 +9,6 @@ from opgraphs.serialize import (
     EDGE_PALETTE,
     adjacency_to_dot,
     graph_to_dot,
-    graph_to_json,
     group_to_json,
     load_json,
     load_pair,
@@ -71,16 +70,6 @@ def test_fixture_pairs_reproduce_worked_examples():
     a, b = load_pair(FIXTURES / "pair-rank-only.json")
     assert rank_condition(a, b)
     assert not invariance_condition(a, b)
-
-
-def test_graph_to_json(grassmann_graph):
-    blob = graph_to_json(grassmann_graph)
-    assert blob["vertex_count"] == 63
-    assert len(blob["edges"]) == 1953
-    u, v, t = blob["edges"][0]
-    assert u < v and t == [0, 1]
-    assert len(blob["vertices"]) == 63
-    assert json.dumps(blob)  # fully serializable
 
 
 def test_group_to_json():
