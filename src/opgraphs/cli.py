@@ -392,7 +392,8 @@ def cmd_verify_lemma(args):
         if args.dims is not None and dims != [1, 1, 1, 1]:
             raise CliError("the swap move runs on dims 1,1,1,1")
         if args.sigma is None:
-            # the lemma's own class: the first four fixed elements
+            # the default swap class: the first four fixed elements, or
+            # 1..4 over Q(i)
             if field.is_finite and len(field.fixed_elements()) < 4:
                 raise CliError("four distinct fixed eigenvalues do not exist")
             sigma_tokens = list("0123" if field.is_finite else "1234")

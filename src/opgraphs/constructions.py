@@ -5,10 +5,11 @@ The natural maps of a class are the semilinear isometries x -> M phi(x)
 every slot, and the dimension-preserving slot permutations.  Over a
 finite field the subgroup of the graph automorphism group they generate
 is computed exactly and certified against its closed-form order.  The
-transitive action of the isometries also reduces the pair census of a
-finite class to one row.  The module also carries the two-slot
-orthocomplement twist, the tilt scan that proposes two-slot moves, the
-independent-pair swap, and the one-sided path obstruction.
+transitive action of the isometries, certified by `certify_transitive`,
+also reduces the pair census of a finite class to one row.  The module
+also carries the two-slot orthocomplement twist, the tilt scan that
+proposes two-slot moves, the independent-pair swap, and the one-sided
+path obstruction.
 """
 
 from __future__ import annotations
@@ -173,19 +174,15 @@ class OrbitCensus:
                 "pairs_classified": self.pairs_classified}
 
 
-def orbit_census(flags, limit=0) -> OrbitCensus:
-    """The counts of `spectral.classify_pairs` from the row of flags[0].
+def certify_transitive(flags):
+    """Certify that U(n,q) is transitive on the class `flags` lists, so
+    that every row of a count that isometries keep equals row 0.
 
-    Conjugation by an isometry U keeps both readings of adjacency:
-    rank(U D U*) = rank D, Img(U D U*) = U Img D, and slots move to
-    slots.  When U(n,q) is transitive on the class, every row has the
-    counts of row 0, and each total is n * (row count) / 2.  Every call
-    certifies that: the orbit of flags[0] under `unitary_generators`
-    must be all n enumerated flags, and n must equal `class_size`;
-    otherwise ConstructionError is raised and nothing is scaled.
-
-    `rank_only` equals `classify_pairs(flags).rank_only[:limit]`: row 0
-    first, then rows 1, 2, ... over v > u while more pairs are wanted.
+    The orbit of flags[0] under `unitary_generators` must be all n
+    flags, and n must equal `class_size`; otherwise ConstructionError
+    is raised.  Returns (orbit size, closed form, scaled), where
+    scaled(c) = n * c / 2 is the number of unordered pairs when every
+    row holds c of them, and raises ConstructionError when n * c is odd.
     """
     n = len(flags)
     sig = flags[0].signature
@@ -195,6 +192,31 @@ def orbit_census(flags, limit=0) -> OrbitCensus:
         raise ConstructionError(
             f"U(n,q) is not certified transitive: the orbit of the first "
             f"flag has {orbit} flags, the class {n}, the closed form {closed}")
+
+    def scaled(count):
+        if n * count % 2:
+            raise ConstructionError(
+                f"{n} flags times a row count of {count} is odd")
+        return n * count // 2
+
+    return orbit, closed, scaled
+
+
+def orbit_census(flags, limit=0) -> OrbitCensus:
+    """The counts of `spectral.classify_pairs` from the row of flags[0].
+
+    Conjugation by an isometry U keeps both readings of adjacency:
+    rank(U D U*) = rank D, Img(U D U*) = U Img D, and slots move to
+    slots.  When U(n,q) is transitive on the class, every row has the
+    counts of row 0, and each total is n * (row count) / 2.  Every call
+    certifies that with `certify_transitive`, which raises
+    ConstructionError before anything is scaled.
+
+    `rank_only` equals `classify_pairs(flags).rank_only[:limit]`: row 0
+    first, then rows 1, 2, ... over v > u while more pairs are wanted.
+    """
+    n = len(flags)
+    orbit, closed, scaled = certify_transitive(flags)
     row = Counter()
     mismatches = 0
     rank_only = []
@@ -204,12 +226,6 @@ def orbit_census(flags, limit=0) -> OrbitCensus:
         mismatches += mismatch
         if kind == RANK_ONLY and len(rank_only) < limit:
             rank_only.append((0, v))
-
-    def scaled(count):
-        if n * count % 2:
-            raise ConstructionError(
-                f"{n} flags times a row count of {count} is odd")
-        return n * count // 2
 
     census = OrbitCensus(
         n * (n - 1) // 2, scaled(row[RANK_OTHER]), scaled(row[ADJACENT]),

@@ -1,20 +1,22 @@
 """Checkable statements about class graphs, one verifier per claim.
 
 Each verifier returns a report dict with a "holds" flag.  Finite
-backends check exhaustively where feasible; the rational backend works
-on pinned instances and seeded samples.  A verifier that finds the
-claim false on a finite backend reports the exact failure pattern
-rather than hiding it: the rank-plus-invariance reading and the
-two-slot-move reading of adjacency agree everywhere, but the fiber
-lift claim genuinely splits along degeneracy of the meet line, which
-cannot happen when the form is definite.
+backends cover the whole class where feasible, reading a count that
+isometries keep off one row certified by the transitivity of U(n,q);
+the rational backend works on pinned instances and seeded samples.  A
+verifier that finds the claim false on a finite backend reports the
+exact failure pattern rather than hiding it: the rank-plus-invariance
+reading and the two-slot-move reading of adjacency agree everywhere,
+but the fiber lift claim genuinely splits along degeneracy of the meet
+line, which cannot happen when the form is definite.
 """
 
 from __future__ import annotations
 
 from random import Random
 
-from .constructions import (induced_order, induced_subgroup,
+from .constructions import (ConstructionError, certify_transitive,
+                            induced_order, induced_subgroup,
                             obstruction_witness, orbit_census,
                             reverse_middle_flags, swap_flag, tilts)
 from .graphs import (LabeledGraph, TypeMapError, classify_type_map,
@@ -133,15 +135,21 @@ def _lift_pair_from_meet(T, S, i, j, sig):
 def verify_fiber_lift(sig, i=None, j=None):
     """Adjacent contracted flags and whether their fibers stay adjacent.
 
-    Exhaustive over a finite backend: for every adjacent pair of the
-    contracted class, a lift pair is constructed when the meet of the
-    merged slots is nondegenerate.  When it is degenerate, the class
-    graph is checked to have no edge between the two fibers, a fiber
-    being the vertices with one (i, j)-contraction.  The unconditional
-    claim holds over a definite form, where degenerate meets cannot
-    occur, and fails over finite backends exactly on the
-    degenerate-meet pairs.  Slot i merges into slot j; the pair defaults
-    to (k - 1, 0) and is given whole or not at all.
+    Over a finite backend every contracted edge is classified: a lift
+    pair is constructed when the meet of the merged slots is
+    nondegenerate, and when it is degenerate the class graph is checked
+    to have no edge between the two fibers, a fiber being the vertices
+    with one (i, j)-contraction.  An isometry commutes with contraction
+    and keeps meet lines, their nondegeneracy, lift pairs and class-graph
+    edges, so an edge's outcome is constant on U(n,q)-orbits.  Only the
+    edges at contracted vertex 0 are classified, and each count is
+    scaled by `certify_transitive`, which certifies on every call that
+    U(n,q) is transitive on the contracted class; n2 * deg(0) / 2 must
+    also equal the contracted edge count.  The unconditional claim
+    holds over a definite form, where degenerate meets cannot occur,
+    and fails over finite backends exactly on the degenerate-meet
+    pairs.  Slot i merges into slot j; the pair defaults to (k - 1, 0)
+    and is given whole or not at all.
     """
     if (i is None) != (j is None):
         raise ValueError("give both merged slots i and j, or neither")
@@ -176,31 +184,42 @@ def verify_fiber_lift(sig, i=None, j=None):
         return report
     graph = LabeledGraph.build(sig)
     graph2 = LabeledGraph.build(sig2)
+    orbit, closed, scaled = certify_transitive(graph2.vertices)
     owner = [graph2.index[contract(flag, i, j).key()] for flag in graph.vertices]
-    lifted = {tuple(sorted((owner[u], owner[v]))) for u, v in graph.edges}
+    # the contracted vertices joined to vertex 0 by an edge of the class graph
+    lifted = {owner[w] for v in range(graph.n) if owner[v] == 0
+              for w in graph.adjacency()[v]}
+    row = graph2.adjacency()[0]
+    if scaled(len(row)) != len(graph2.edges):
+        raise ConstructionError(
+            f"{graph2.n} rows of degree {len(row)} do not give the "
+            f"{len(graph2.edges)} contracted edges")
     passes = 0
     failures = 0
     exceptions = 0
-    for u, v in graph2.edges:
-        T, S = graph2.vertices[u], graph2.vertices[v]
-        pair = _lift_pair_from_meet(T, S, i, j, sig)
+    T = graph2.vertices[0]
+    for v in row:
+        pair = _lift_pair_from_meet(T, graph2.vertices[v], i, j, sig)
         if pair is not None:
             if adjacency_slots(*pair) is not None:
                 passes += 1
             else:
                 exceptions += 1
         # degenerate meet: no class-graph edge may join the two fibers
-        elif (u, v) in lifted:
+        elif v in lifted:
             exceptions += 1
         else:
             failures += 1
     report.update({
         "mode": "exhaustive",
         "contracted_edges": len(graph2.edges),
-        "liftable": passes,
-        "blocked_by_degenerate_meet": failures,
-        "exceptions_to_dichotomy": exceptions,
+        "liftable": scaled(passes),
+        "blocked_by_degenerate_meet": scaled(failures),
+        "exceptions_to_dichotomy": scaled(exceptions),
         "holds": failures == 0 and exceptions == 0,
+        "orbit_size": orbit,
+        "class_size_closed_form": closed,
+        "pairs_classified": len(row),
     })
     return report
 
@@ -209,30 +228,17 @@ def verify_fiber_lift(sig, i=None, j=None):
 # mixing two independent moves
 
 
-def verify_swap_lemma(field, sigma=None):
+def verify_swap_lemma(field, sigma):
     """Pinned four-slot instance of the independent-pair mix.
 
     The base flag is coordinate; the second flag resplits slots {0,1}
     and {2,3} inside their planes.  The mixed flag must be adjacent to
     the base exactly at {2,3} and to the second flag exactly at {0,1}.
-    An explicit sigma must be exactly four distinct eigenvalues.
+    sigma must be exactly four distinct eigenvalues.
     """
-    if sigma is not None:
-        if len(sigma) != 4 or len(set(sigma)) < 4:
-            raise ValueError(
-                "the swap move needs exactly four distinct eigenvalues")
-        sigma = tuple(sigma)
-    elif field.is_finite:
-        need = 4
-        fixed = field.fixed_elements()
-        if len(fixed) < need:
-            return {"lemma": "swap", "field": field.descriptor(),
-                    "holds": False, "mode": "unavailable",
-                    "reason": "four distinct fixed eigenvalues do not exist"}
-        sigma = tuple(fixed[:need])
-    else:
-        sigma = tuple(field.parse_fixed(str(t)) for t in (1, 2, 3, 4))
-    sig = ClassSignature(field, sigma, (1, 1, 1, 1))
+    if len(sigma) != 4 or len(set(sigma)) < 4:
+        raise ValueError("the swap move needs exactly four distinct eigenvalues")
+    sig = ClassSignature(field, tuple(sigma), (1, 1, 1, 1))
     A = coordinate_flag(sig)
     B = _rotated_pair_flag(sig, A, 0, 1)
     B = _rotated_pair_flag(sig, B, 2, 3)

@@ -242,7 +242,7 @@ def test_criterion_08_induced_automorphisms(
 
 def test_criterion_09_swap_and_obstruction(
         qi_sig, obstruction_report_gf9, acceptance):
-    swap = verify_swap_lemma(QI)
+    swap = verify_swap_lemma(QI, tuple(QI.parse_fixed(t) for t in "1234"))
     swap_ok = (swap["holds"]
                and swap["adjacent_to_first"] == [2, 3]
                and swap["adjacent_to_second"] == [0, 1])

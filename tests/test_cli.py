@@ -350,6 +350,7 @@ def test_counterexample_counts_its_work(capsys, limit, pairs_classified):
 @pytest.mark.parametrize("argv", [
     ("counterexample",),
     ("verify-lemma", "--lemma", "a1a2-equiv"),
+    ("verify-lemma", "--lemma", "lift"),
 ], ids=" ".join)
 def test_uncertified_transitivity_is_an_error_report(capsys, monkeypatch, argv):
     first = constructions.unitary_generators

@@ -6,10 +6,15 @@ which 945 lift and 1008 are blocked by a degenerate meet line; the
 pair graphs have automorphism counts 6, 48, 120.
 """
 
+from collections import Counter
+
 import pytest
 
-from opgraphs import lemmas
+from opgraphs import constructions, lemmas
+from opgraphs.constructions import ConstructionError, unitary_generators
+from opgraphs.graphs import LabeledGraph
 from opgraphs.lemmas import (
+    _lift_pair_from_meet,
     _rotated_pair_flag,
     verify_fiber_lift,
     verify_move_equivalence,
@@ -17,7 +22,7 @@ from opgraphs.lemmas import (
     verify_swap_lemma,
     verify_type_action,
 )
-from opgraphs.spectral import adjacency_slots, coordinate_flag
+from opgraphs.spectral import adjacency_slots, contract, coordinate_flag
 from opgraphs.starfield import QI, galois_field
 from tests.conftest import signature
 
@@ -68,8 +73,32 @@ def test_fiber_lift_pinned_over_the_rationals(qi_sig):
     assert report["holds"]
 
 
+LIFT_COUNTS = ("contracted_edges", "liftable", "blocked_by_degenerate_meet",
+               "exceptions_to_dichotomy")
+
+
+def all_edges_lift_counts(graph, i, j):
+    """The lift counts with every contracted edge classified: the oracle
+    of the one-row count of `verify_fiber_lift`."""
+    sig = graph.vertices[0].signature
+    graph2 = LabeledGraph.build(sig.contracted(i, j))
+    owner = [graph2.index[contract(flag, i, j).key()] for flag in graph.vertices]
+    lifted = {tuple(sorted((owner[u], owner[v]))) for u, v in graph.edges}
+    counts = Counter(contracted_edges=len(graph2.edges))
+    for u, v in graph2.edges:
+        pair = _lift_pair_from_meet(graph2.vertices[u], graph2.vertices[v],
+                                    i, j, sig)
+        if pair is not None and adjacency_slots(*pair) is not None:
+            counts["liftable"] += 1
+        elif pair is None and (u, v) not in lifted:
+            counts["blocked_by_degenerate_meet"] += 1
+        else:
+            counts["exceptions_to_dichotomy"] += 1
+    return {key: counts[key] for key in LIFT_COUNTS}
+
+
 @pytest.mark.parametrize("i,j", [(2, 0), (2, 1), (0, 1), (0, 2), (1, 0), (1, 2)])
-def test_fiber_lift_splits_over_gf9(flagship_sig, i, j):
+def test_fiber_lift_splits_over_gf9(flagship_sig, flagship_graph, i, j):
     report = verify_fiber_lift(flagship_sig, i, j)
     assert report["mode"] == "exhaustive"
     assert report["merged_slots"] == [i, j]
@@ -79,6 +108,51 @@ def test_fiber_lift_splits_over_gf9(flagship_sig, i, j):
     assert report["exceptions_to_dichotomy"] == 0
     assert not report["holds"]
     assert report["liftable"] + report["blocked_by_degenerate_meet"] == 1953
+    # one certified row of the contracted class K63
+    assert report["orbit_size"] == report["class_size_closed_form"] == 63
+    assert report["pairs_classified"] == 62
+    assert ({key: report[key] for key in LIFT_COUNTS}
+            == all_edges_lift_counts(flagship_graph, i, j))
+
+
+def test_fiber_lift_matches_the_all_edges_oracle_over_gf16(f16):
+    sig = signature(f16, ("0", "1", "2"), (1, 1, 1))
+    report = verify_fiber_lift(sig)
+    oracle = all_edges_lift_counts(LabeledGraph.build(sig), 2, 0)
+    assert oracle == {"contracted_edges": 21528, "liftable": 13728,
+                      "blocked_by_degenerate_meet": 7800,
+                      "exceptions_to_dichotomy": 0}
+    assert {key: report[key] for key in LIFT_COUNTS} == oracle
+    assert report["orbit_size"] == report["class_size_closed_form"] == 208
+    assert report["pairs_classified"] == 207
+
+
+@pytest.mark.parametrize("attribute, value", [
+    ("unitary_generators", lambda field, n: unitary_generators(field, n)[:1]),
+    ("class_size", lambda sig: 64),
+], ids=["one-generator", "wrong-closed-form"])
+def test_fiber_lift_refuses_to_scale_uncertified(
+        flagship_sig, monkeypatch, attribute, value):
+    monkeypatch.setattr(constructions, attribute, value)
+    with pytest.raises(ConstructionError, match="not certified transitive"):
+        verify_fiber_lift(flagship_sig)
+
+
+def test_fiber_lift_checks_the_contracted_edge_count(flagship_sig, monkeypatch):
+    # vertex 0 keeps degree 60 in a contracted K63 short of two vertices'
+    # edges, so 63 rows of 60 edges overcount its 1830 edges
+    class ShortContraction(LabeledGraph):
+        @classmethod
+        def build(cls, sig, flags=None):
+            graph = LabeledGraph.build(sig, flags)
+            if sig.k == 2:
+                (label, vs), = graph.cliques
+                graph = LabeledGraph(graph.vertices, [(label, vs[:-2])])
+            return graph
+
+    monkeypatch.setattr(lemmas, "LabeledGraph", ShortContraction)
+    with pytest.raises(ConstructionError, match="1830 contracted edges"):
+        verify_fiber_lift(flagship_sig)
 
 
 def test_fiber_lift_takes_both_slots_or_neither(flagship_sig):
@@ -88,8 +162,12 @@ def test_fiber_lift_takes_both_slots_or_neither(flagship_sig):
         verify_fiber_lift(flagship_sig, j=1)
 
 
+def fixed_sigma(field, texts):
+    return tuple(field.parse_fixed(t) for t in texts)
+
+
 def test_swap_over_the_rationals():
-    report = verify_swap_lemma(QI)
+    report = verify_swap_lemma(QI, fixed_sigma(QI, "1234"))
     assert report["mode"] == "pinned"
     assert report["holds"]
     assert report["adjacent_to_first"] == [2, 3]
@@ -97,16 +175,13 @@ def test_swap_over_the_rationals():
 
 
 def test_swap_over_gf16(f16):
-    report = verify_swap_lemma(f16)
+    report = verify_swap_lemma(f16, fixed_sigma(f16, "0123"))
     assert report["mode"] == "pinned"
     assert report["holds"]
 
 
 def test_swap_unavailable_over_gf9(f9):
     # the fixed subfield GF(3) cannot seat four distinct eigenvalues
-    report = verify_swap_lemma(f9)
-    assert report["mode"] == "unavailable"
-    assert not report["holds"]
     with pytest.raises(ValueError):
         verify_swap_lemma(f9, sigma=tuple(f9.fixed_elements()))
 
