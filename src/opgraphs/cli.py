@@ -17,7 +17,8 @@ import time
 from contextlib import contextmanager
 
 from .autgroup import BudgetExceededError, automorphism_group
-from .constructions import induced_order, induced_subgroup, orbit_census
+from .constructions import (class_size, induced_order, induced_subgroup,
+                            orbit_census)
 from .counterexamples import (SearchBudgetError, census_certificates,
                               find_rank_only_pair, verify_certificate)
 from .graphs import LabeledGraph, johnson_graph, petersen_graph
@@ -183,8 +184,11 @@ def _check_contraction(sig, i, j):
 def cmd_enumerate(args):
     field, sigma_tokens, dims, seed, config = _resolve(args)
     _require_finite(field)
-    flags = enumerate_class(_signature(field, sigma_tokens, dims))
-    results = {"vertex_count": len(flags)}
+    sig = _signature(field, sigma_tokens, dims)
+    flags = enumerate_class(sig)
+    # the walk raises unless its orbit has the closed-form size
+    results = {"vertex_count": len(flags), "orbit_size": len(flags),
+               "class_size_closed_form": class_size(sig)}
     if args.dump_flags:
         results["flags"] = [
             [X.to_json() for X in fl.spaces] for fl in flags]

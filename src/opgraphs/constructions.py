@@ -3,10 +3,14 @@
 The natural maps of a class are the semilinear isometries x -> M phi(x)
 (M an isometry of the form, phi a star-field automorphism) applied to
 every slot, and the dimension-preserving slot permutations.  Over a
-finite field the subgroup of the graph automorphism group they generate
-is computed exactly and certified against its closed-form order.  The
-transitive action of the isometries, certified by `certify_transitive`,
-also reduces the pair census of a finite class to one row.  The module
+finite field each semilinear map is one permutation of the points of
+PG(n-1, q^2), and a flag is the tuple of its slots' sorted point ids,
+so a finite class is enumerated as one certified orbit (`orbit_class`)
+and the maps act on vertices by lookup.  The subgroup of the graph
+automorphism group they generate is computed exactly and certified
+against its closed-form order.  The transitive action of the
+isometries, certified by `certify_transitive`, also reduces the pair
+census of a finite class to one row.  The module
 also carries the two-slot orthocomplement twist, the tilt scan that
 proposes two-slot moves, the independent-pair swap, and the one-sided
 path obstruction.
@@ -20,9 +24,10 @@ from functools import lru_cache
 from itertools import product
 
 from .autgroup import StabChain, is_automorphism
+from .enumeration import subspaces
 from .linalg import Matrix, Subspace, herm_form, matvec
 from .spectral import (ADJACENT, RANK_ONLY, RANK_OTHER, EigenFlag,
-                       SdPermutation, pair_verdict)
+                       SdPermutation, coordinate_flag, pair_verdict)
 
 
 class ConstructionError(RuntimeError):
@@ -106,38 +111,148 @@ def class_size(sig):
     return unitary_order(q, sig.ambient) // stabilizer
 
 
-def semilinear_image(flag, M: Matrix, phi):
-    """The flag with every row r of every slot sent to M phi(r), slot
-    labels kept.  Isometries pass the identity automorphism for phi,
-    field automorphisms the identity matrix for M."""
-    return flag.map_spaces(
-        lambda S: S.map_rows(
-            lambda row: tuple(M.apply(tuple(phi(x) for x in row)))),
-        check=False)
+# ---------------------------------------------------------------------------
+# projective point ids: the natural maps as point permutations
 
 
-def _graph_perm(flags, index, image_fn):
-    """The permutation v -> index of image_fn(flags[v]), where `index`
-    maps each flag key to its position in `flags`."""
+@lru_cache(maxsize=None)
+def projective_points(field, n):
+    """The points of PG(n-1, q^2): the rref rows of the lines of field^n
+    (first nonzero coordinate one), in increasing order, so a line's
+    point id sorts like its row.  Returns (rows, index), index[row] the id."""
+    rows = tuple(sorted(S.rows[0] for S in subspaces(field, n, 1)))
+    return rows, {v: i for i, v in enumerate(rows)}
+
+
+def point_permutation(field, M: Matrix, phi):
+    """The point ids moved by x -> M phi(x), as a tuple: point i goes to
+    the result's entry i.  Raises ConstructionError when a point maps to
+    zero, that is when M is singular."""
+    rows, index = projective_points(field, M.ncols)
+    zero, one = field.zero, field.one
     out = []
-    for flag in flags:
-        v = index.get(image_fn(flag).key())
+    for v in rows:
+        w = M.apply(tuple(map(phi, v)))
+        lead = next((x for x in w if x != zero), None)
+        if lead is None:
+            raise ConstructionError(f"{M!r} sends a point to zero")
+        if lead != one:
+            c = field.inv(lead)
+            w = tuple(field.mul(c, x) for x in w)
+        out.append(index[w])
+    return tuple(out)
+
+
+def _isometries(field, n):
+    """`unitary_generators`, each checked to be an isometry: an orbit
+    of a class flag stays in the class only under isometries."""
+    gens = unitary_generators(field, n)
+    for M in gens:
+        if not is_isometry(field, M):
+            raise ConstructionError(f"generator {M!r} is not an isometry")
+    return gens
+
+
+def _slot_points(S, index):
+    """The sorted ids of the points of the subspace S."""
+    if S.dim == 1:
+        return (index[S.rows[0]],)
+    # normalised coefficients on the rref rows give normalised vectors
+    coeffs, _ = projective_points(S.field, S.dim)
+    return tuple(sorted(index[S.vector_at(c)] for c in coeffs))
+
+
+def point_forms(flags):
+    """The point form of each flag: per slot, its sorted point ids."""
+    sig = flags[0].signature
+    _, index = projective_points(sig.field, sig.ambient)
+    slots = {}
+
+    def points(S):
+        if S not in slots:
+            slots[S] = _slot_points(S, index)
+        return slots[S]
+
+    return [tuple(map(points, flag.spaces)) for flag in flags]
+
+
+def _image(form, perm):
+    """A point form moved by a point permutation."""
+    return tuple((perm[ids[0]],) if len(ids) == 1
+                 else tuple(sorted(map(perm.__getitem__, ids))) for ids in form)
+
+
+def _form_perm(forms, index, perm):
+    """The permutation v -> index of forms[v] moved by perm, where
+    `index` maps each form to its position in `forms`."""
+    out = []
+    for form in forms:
+        v = index.get(_image(form, perm))
         if v is None:
             raise ConstructionError("an image is not a flag of the class")
         out.append(v)
     return tuple(out)
 
 
+def orbit_class(sig):
+    """Every flag of a finite class, as the orbit of `coordinate_flag`
+    under the `unitary_generators` point permutations, sorted by key.
+
+    Each generator is checked to be an isometry, so the orbit lies in
+    the class; U(n,q) is transitive on the class (Witt), so the orbit is
+    the class exactly when its size equals `class_size`.  Both are
+    certified on every call, and ConstructionError is raised otherwise.
+    Each distinct slot space is rebuilt once, by one rref of one point
+    per leading column (a basis).
+    """
+    field, n, zero = sig.field, sig.ambient, sig.field.zero
+    rows, _ = projective_points(field, n)
+    id_map = field.automorphisms()[0]
+    perms = [point_permutation(field, M, id_map) for M in _isometries(field, n)]
+    start = point_forms([coordinate_flag(sig)])[0]
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        form = frontier.pop()
+        for perm in perms:
+            image = _image(form, perm)
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    closed = class_size(sig)
+    if len(seen) != closed:
+        raise ConstructionError(
+            f"U(n,q) is not certified transitive: the orbit of the "
+            f"coordinate flag has {len(seen)} flags, the closed form {closed}")
+
+    spaces = {}
+
+    def space(ids):
+        if ids not in spaces:
+            basis = {}
+            for p in ids:
+                v = rows[p]
+                basis.setdefault(next(c for c, x in enumerate(v) if x != zero), v)
+            spaces[ids] = Subspace(field, n, basis.values())
+        return spaces[ids]
+
+    flags = [EigenFlag(sig, map(space, form), check=False) for form in seen]
+    flags.sort(key=EigenFlag.key)
+    return tuple(flags)
+
+
 def orbit_size(flags, generators):
-    """Size of the orbit of flags[0] under the isometries `generators`.
+    """Size of the orbit of flags[0] under the isometries `generators`,
+    walked on the point forms of `flags`.
 
     Raises ConstructionError when an image is not one of `flags`, so an
     orbit as large as `flags` is the whole list.
     """
-    id_map = flags[0].signature.field.automorphisms()[0]
-    index = {fl.key(): v for v, fl in enumerate(flags)}
-    perms = [_graph_perm(flags, index,
-                         lambda flag, M=M: semilinear_image(flag, M, id_map))
+    field = flags[0].signature.field
+    id_map = field.automorphisms()[0]
+    forms = point_forms(flags)
+    index = {form: v for v, form in enumerate(forms)}
+    perms = [_form_perm(forms, index, point_permutation(field, M, id_map))
              for M in generators]
     seen = {0}
     frontier = [0]
@@ -187,7 +302,7 @@ def certify_transitive(flags):
     n = len(flags)
     sig = flags[0].signature
     closed = class_size(sig)
-    orbit = orbit_size(flags, unitary_generators(sig.field, sig.ambient))
+    orbit = orbit_size(flags, _isometries(sig.field, sig.ambient))
     if not orbit == n == closed:
         raise ConstructionError(
             f"U(n,q) is not certified transitive: the orbit of the first "
@@ -245,11 +360,23 @@ def orbit_census(flags, limit=0) -> OrbitCensus:
 # vertex maps of a finite class graph
 
 
+def _graph_perm(flags, index, image_fn):
+    """The permutation v -> index of image_fn(flags[v]), where `index`
+    maps each flag key to its position in `flags`."""
+    out = []
+    for flag in flags:
+        v = index.get(image_fn(flag).key())
+        if v is None:
+            raise ConstructionError("an image is not a flag of the class")
+        out.append(v)
+    return tuple(out)
+
+
 def semilinear_vertex_map(graph, M: Matrix, phi):
-    """Vertex permutation from x -> M phi(x) applied to every slot; the
-    image of each vertex must be a vertex."""
-    return _graph_perm(graph.vertices, graph.index,
-                       lambda flag: semilinear_image(flag, M, phi))
+    """Vertex permutation from x -> M phi(x) applied to every slot, read
+    off its point permutation; the image of each vertex must be a vertex."""
+    return _form_perm(*graph.point_forms(),
+                      point_permutation(graph.vertices[0].signature.field, M, phi))
 
 
 def slot_permutation_vertex_map(graph, delta: SdPermutation):

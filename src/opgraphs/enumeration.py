@@ -1,15 +1,16 @@
-"""Exhaustive enumeration over finite backends.
+"""Exhaustive subspace enumeration over finite backends.
 
 Subspaces are generated through their unique reduced-row-echelon bases:
 pick pivot columns, then run over all assignments of the free entries.
-Each subspace appears exactly once, in a deterministic order.
+Each subspace appears exactly once, in a deterministic order.  Classes
+are enumerated as orbits (`constructions.orbit_class`).
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from .linalg import Subspace, relative_orthocomplement
+from .linalg import Subspace
 
 
 def _require_finite(field):
@@ -59,42 +60,6 @@ def subspaces_within(W: Subspace, k):
     _require_finite(f)
     for S in subspaces(f, W.dim, k):
         yield Subspace(f, W.ambient, [W.vector_at(c) for c in S.rows])
-
-
-def nondegenerate_subspaces_within(W: Subspace, k):
-    for S in subspaces_within(W, k):
-        if S.is_nondegenerate():
-            yield S
-
-
-def orthogonal_decompositions(field, ambient, dims):
-    """Ordered tuples of mutually orthogonal nondegenerate subspaces.
-
-    Slot t gets dimension dims[t]; the parts sum to the whole space.
-    Works slot by slot inside the running orthocomplement, so every
-    decomposition appears exactly once.
-    """
-    _require_finite(field)
-    if sum(dims) != ambient:
-        raise ValueError("dimensions must sum to the ambient dimension")
-
-    def rec(W, remaining):
-        if not remaining:
-            yield ()
-            return
-        k = remaining[0]
-        if k == W.dim:
-            if W.is_nondegenerate():
-                for rest in rec(Subspace.zero_space(field, ambient), remaining[1:]):
-                    yield (W,) + rest
-            return
-        for X in nondegenerate_subspaces_within(W, k):
-            R = relative_orthocomplement(X, W)
-            for rest in rec(R, remaining[1:]):
-                yield (X,) + rest
-
-    full = Subspace.full(field, ambient)
-    yield from rec(full, tuple(dims))
 
 
 def gaussian_binomial(m, k, q):

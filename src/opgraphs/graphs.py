@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
+from .constructions import point_forms
 from .enumeration import subspaces_within
 from .spectral import contract, enumerate_class
 
@@ -34,6 +35,7 @@ class LabeledGraph:
         self.cliques = tuple(cliques)
         self._adjlist = None
         self._cliques_at = None
+        self._point_forms = None
 
     @classmethod
     def build(cls, signature, flags=None):
@@ -82,6 +84,14 @@ class LabeledGraph:
             self._adjlist = tuple(tuple(sorted(w for w in x if w != v))
                                   for v, x in enumerate(nbrs))
         return self._adjlist
+
+    def point_forms(self):
+        """(forms, index): each vertex's `constructions.point_forms`
+        entry, and the vertex of each form."""
+        if self._point_forms is None:
+            forms = point_forms(self.vertices)
+            self._point_forms = forms, {f: v for v, f in enumerate(forms)}
+        return self._point_forms
 
     def degree_histogram(self):
         return Counter(len(nbrs) for nbrs in self.adjacency())

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import enumeration
 from .linalg import (Matrix, Subspace, is_invariant, rank_of_rows,
                      relative_orthocomplement)
 
@@ -322,17 +321,17 @@ def contract(flag: EigenFlag, i, j) -> EigenFlag:
 
 
 def enumerate_class(sig: ClassSignature):
-    """Every eigen-flag of the class, each exactly once.  Finite backends."""
+    """Every eigen-flag of the class, each exactly once, sorted by key.
+
+    Finite backends only.  The class is walked as one orbit of
+    U(n,q), certified against its closed-form size
+    (`constructions.orbit_class`).
+    """
     if not sig.field.is_finite:
         raise ValueError("class enumeration requires a finite backend")
-    flags = [
-        EigenFlag(sig, spaces, check=False)
-        for spaces in enumeration.orthogonal_decompositions(
-            sig.field, sig.ambient, sig.dims
-        )
-    ]
-    flags.sort(key=lambda fl: fl.key())
-    return tuple(flags)
+    from .constructions import orbit_class
+
+    return orbit_class(sig)
 
 
 RANK_OTHER, ADJACENT, RANK_ONLY = "rank_other", "adjacent", "rank_only"

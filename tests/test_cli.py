@@ -37,6 +37,9 @@ def test_enumerate_default_flagship(capsys):
     assert code == 0
     assert rep["command"] == "enumerate"
     assert rep["results"]["vertex_count"] == 378
+    # the class is walked as one certified orbit
+    assert rep["results"]["orbit_size"] == 378
+    assert rep["results"]["class_size_closed_form"] == 378
     assert rep["config"]["dims"] == [1, 1, 1]
     assert rep["config"]["backend"]["order"] == 9
     assert rep["config"]["sigma"] == ["0", "1", "2"]
@@ -351,6 +354,8 @@ def test_counterexample_counts_its_work(capsys, limit, pairs_classified):
     ("counterexample",),
     ("verify-lemma", "--lemma", "a1a2-equiv"),
     ("verify-lemma", "--lemma", "lift"),
+    ("enumerate",),
+    ("automorphisms", "--compare-induced"),
 ], ids=" ".join)
 def test_uncertified_transitivity_is_an_error_report(capsys, monkeypatch, argv):
     first = constructions.unitary_generators

@@ -12,6 +12,7 @@ import pytest
 
 from opgraphs import constructions
 from opgraphs.autgroup import StabChain, is_automorphism
+from opgraphs.enumeration import gaussian_binomial
 from opgraphs.constructions import (
     ConstructionError,
     chow_image,
@@ -21,6 +22,8 @@ from opgraphs.constructions import (
     is_isometry,
     obstruction_witness,
     orbit_census,
+    point_permutation,
+    projective_points,
     reverse_middle_flags,
     sd_generators,
     sd_group_order,
@@ -40,6 +43,7 @@ from opgraphs.spectral import (EigenFlag, adjacency_slots,
                                enumerate_class)
 from opgraphs.starfield import QI, galois_field
 from tests.conftest import signature
+from tests.oracles import semilinear_image
 
 GEN_ROWS_U3_GF9 = (
     ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
@@ -167,6 +171,64 @@ def test_orbit_census_rejects_images_outside_the_class(flagship_flags, f9):
                         (f9.zero, f9.zero, f9.one)))
     with pytest.raises(ConstructionError, match="not a flag of the class"):
         constructions.orbit_size(flagship_flags, [shear])
+
+
+def _shear(f9):
+    return Matrix(f9, ((f9.one, f9.one, f9.zero),
+                       (f9.zero, f9.one, f9.zero),
+                       (f9.zero, f9.zero, f9.one)))
+
+
+def test_projective_points_are_sorted_rref_rows(f9):
+    rows, index = projective_points(f9, 3)
+    assert len(rows) == 91 == gaussian_binomial(3, 1, 9)
+    assert list(rows) == sorted(rows)
+    assert all(Subspace.line(f9, v).rows == (v,) for v in rows)
+    assert all(index[v] == i for i, v in enumerate(rows))
+
+
+def test_point_permutation_refuses_singular_maps(f9):
+    singular = Matrix(f9, ((f9.one, f9.zero, f9.zero),
+                           (f9.one, f9.zero, f9.zero),
+                           (f9.zero, f9.zero, f9.one)))
+    with pytest.raises(ConstructionError, match="sends a point to zero"):
+        point_permutation(f9, singular, f9.automorphisms()[0])
+
+
+def test_orbit_walk_refuses_a_generator_that_is_no_isometry(
+        flagship_sig, f9, monkeypatch):
+    monkeypatch.setattr(constructions, "unitary_generators",
+                        lambda field, n: (_shear(f9),))
+    with pytest.raises(ConstructionError, match="is not an isometry"):
+        enumerate_class(flagship_sig)
+
+
+def test_orbit_walk_refuses_to_certify_one_generator(
+        flagship_sig, monkeypatch):
+    monkeypatch.setattr(constructions, "unitary_generators",
+                        lambda field, n: unitary_generators(field, n)[:1])
+    with pytest.raises(ConstructionError,
+                       match="^U\\(n,q\\) is not certified transitive"):
+        enumerate_class(flagship_sig)
+
+
+@pytest.mark.parametrize("p, sigma, dims", [
+    (3, ("0", "1", "2"), (1, 1, 1)),
+    (3, ("0", "1"), (1, 2)),
+    (2, ("0", "1"), (2, 2)),
+], ids=["flagship", "grassmann", "GF(4)^4 2,2"])
+def test_point_permutation_vertex_maps_match_the_oracle(p, sigma, dims):
+    sig = signature(galois_field(p, 1), sigma, dims)
+    graph = LabeledGraph.build(sig)
+    field = sig.field
+    id_map, *galois = field.automorphisms()
+    identity = Matrix.identity(field, sig.ambient)
+    maps = ([(M, id_map) for M in unitary_generators(field, sig.ambient)]
+            + [(identity, phi) for phi in galois])
+    for M, phi in maps:
+        oracle = tuple(graph.index[semilinear_image(flag, M, phi).key()]
+                       for flag in graph.vertices)
+        assert semilinear_vertex_map(graph, M, phi) == oracle
 
 
 def test_linear_vertex_maps_from_isometries(flagship_graph, f9):

@@ -1,19 +1,21 @@
-"""Exhaustive subspace and decomposition generators, with counts
-checked against Gaussian binomials."""
+"""Exhaustive subspace generators, with counts checked against
+Gaussian binomials, and the class orbit walk against the slot-by-slot
+decomposition oracle."""
 
 import pytest
 
 from opgraphs.enumeration import (
     gaussian_binomial,
-    nondegenerate_subspaces_within,
     nonzero_vectors,
-    orthogonal_decompositions,
     subspaces,
     subspaces_within,
 )
 from opgraphs.linalg import Subspace
-from opgraphs.spectral import enumerate_class
-from opgraphs.starfield import QI
+from opgraphs.spectral import EigenFlag, enumerate_class
+from opgraphs.starfield import QI, galois_field
+from tests.conftest import signature
+from tests.oracles import (nondegenerate_subspaces_within,
+                           orthogonal_decompositions)
 
 
 def test_gaussian_binomial_values():
@@ -79,11 +81,23 @@ def test_decompositions_are_orthogonal_and_exhaustive(f9):
     assert len(seen) == 6
 
 
-def test_enumerate_class_matches_decompositions(flagship_sig, flagship_flags):
-    assert len(flagship_flags) == 378
-    assert len(set(flagship_flags)) == 378
-    keys = [f.key() for f in flagship_flags]
-    assert keys == sorted(keys)
+@pytest.mark.parametrize("p, e, sigma, dims, size", [
+    (3, 1, ("0", "1", "2"), (1, 1, 1), 378),
+    (3, 1, ("0", "1"), (1, 2), 63),
+    (2, 1, ("0", "1"), (1, 2), 12),
+    (2, 1, ("0", "1"), (2, 2), 240),
+    (2, 1, ("0", "1"), (1, 3), 40),
+    (2, 2, ("0", "1", "2"), (1, 1, 1), 2496),
+], ids=["flagship", "grassmann", "GF(4)^3 1,2", "GF(4)^4 2,2",
+        "GF(4)^4 1,3", "GF(16)^3 1,1,1"])
+def test_enumerate_class_matches_decompositions(p, e, sigma, dims, size):
+    sig = signature(galois_field(p, e), sigma, dims)
+    keys = [f.key() for f in enumerate_class(sig)]
+    oracle = sorted(EigenFlag(sig, spaces, check=False).key()
+                    for spaces in orthogonal_decompositions(
+                        sig.field, sig.ambient, sig.dims))
+    assert len(oracle) == len(set(oracle)) == size
+    assert keys == oracle
 
 
 def test_rational_backend_is_rejected():
@@ -91,7 +105,5 @@ def test_rational_backend_is_rejected():
         list(subspaces(QI, 3, 1))
     with pytest.raises(ValueError):
         list(orthogonal_decompositions(QI, 3, (1, 1, 1)))
-    from tests.conftest import signature
-
     with pytest.raises(ValueError):
         enumerate_class(signature(QI, ("1", "2", "3"), (1, 1, 1)))
