@@ -6,12 +6,14 @@ every slot, and the dimension-preserving slot permutations.  Over a
 finite field each semilinear map is one permutation of the points of
 PG(n-1, q^2), and a flag is the tuple of its slots' sorted point ids,
 so a finite class is enumerated as one certified orbit (`orbit_class`)
-and the maps act on vertices by lookup.  The subgroup of the graph
-automorphism group they generate is computed exactly and certified
-against its closed-form order.  The transitive action of the
-isometries, certified by `certify_transitive`, also reduces the pair
-census of a finite class to one row.  The module
-also carries the two-slot orthocomplement twist, the tilt scan that
+and the maps act on vertices by lookup.  A hyperplane of a slot is the
+sorted ids of its points, read off one incidence table per field and
+dimension (`slot_hyperplanes`); the class graph keys its edges on them.
+The subgroup of the graph automorphism group they generate is computed
+exactly and certified against its closed-form order.  The transitive
+action of the isometries, certified by `certify_transitive`, also
+reduces the pair census of a finite class to one row.  The module also
+carries the two-slot orthocomplement twist, the tilt scan that
 proposes two-slot moves, the independent-pair swap, and the one-sided
 path obstruction.
 """
@@ -24,7 +26,6 @@ from functools import lru_cache
 from itertools import product
 
 from .autgroup import StabChain, is_automorphism
-from .enumeration import subspaces
 from .linalg import Matrix, Subspace, herm_form, matvec
 from .spectral import (ADJACENT, RANK_ONLY, RANK_OTHER, EigenFlag,
                        SdPermutation, coordinate_flag, pair_verdict)
@@ -117,11 +118,25 @@ def class_size(sig):
 
 @lru_cache(maxsize=None)
 def projective_points(field, n):
-    """The points of PG(n-1, q^2): the rref rows of the lines of field^n
-    (first nonzero coordinate one), in increasing order, so a line's
-    point id sorts like its row.  Returns (rows, index), index[row] the id."""
-    rows = tuple(sorted(S.rows[0] for S in subspaces(field, n, 1)))
+    """The points of PG(n-1, q^2): the normalised vectors of field^n
+    (first nonzero coordinate one), which are the rref rows of the
+    lines, in increasing order, so a line's point id sorts like its row.
+    Returns (rows, index), index[row] the id."""
+    zero, one = field.zero, field.one
+    rows = tuple(sorted((zero,) * p + (one,) + tail for p in range(n)
+                        for tail in product(field.elements(), repeat=n - 1 - p)))
     return rows, {v: i for i, v in enumerate(rows)}
+
+
+@lru_cache(maxsize=None)
+def _hyperplane_incidence(field, d):
+    """For each point c of PG(d-1, q^2), the positions in
+    `projective_points(field, d)` of the points of the hyperplane
+    {a : a·c = 0}; every hyperplane of field^d is one of these."""
+    rows, _ = projective_points(field, d)
+    zero = field.zero
+    return tuple(tuple(i for i, x in enumerate(matvec(field, rows, c)) if x == zero)
+                 for c in rows)
 
 
 def point_permutation(field, M: Matrix, phi):
@@ -154,12 +169,19 @@ def _isometries(field, n):
 
 
 def _slot_points(S, index):
-    """The sorted ids of the points of the subspace S."""
-    if S.dim == 1:
-        return (index[S.rows[0]],)
+    """The ids of the points of the subspace S, listed like their
+    coordinates on the rref basis of S in `projective_points(field, S.dim)`."""
     # normalised coefficients on the rref rows give normalised vectors
     coeffs, _ = projective_points(S.field, S.dim)
-    return tuple(sorted(index[S.vector_at(c)] for c in coeffs))
+    return tuple(index[S.vector_at(c)] for c in coeffs)
+
+
+def slot_hyperplanes(S, index):
+    """The hyperplanes of the subspace S, each as the sorted ids of its
+    points: () for a line, one point each for a plane."""
+    ids = _slot_points(S, index)
+    return [tuple(sorted(map(ids.__getitem__, pos)))
+            for pos in _hyperplane_incidence(S.field, S.dim)]
 
 
 def point_forms(flags):
@@ -170,7 +192,7 @@ def point_forms(flags):
 
     def points(S):
         if S not in slots:
-            slots[S] = _slot_points(S, index)
+            slots[S] = tuple(sorted(_slot_points(S, index)))
         return slots[S]
 
     return [tuple(map(points, flag.spaces)) for flag in flags]
@@ -182,16 +204,24 @@ def _image(form, perm):
                  else tuple(sorted(map(perm.__getitem__, ids))) for ids in form)
 
 
-def _form_perm(forms, index, perm):
-    """The permutation v -> index of forms[v] moved by perm, where
-    `index` maps each form to its position in `forms`."""
-    out = []
-    for form in forms:
-        v = index.get(_image(form, perm))
-        if v is None:
-            raise ConstructionError("an image is not a flag of the class")
-        out.append(v)
-    return tuple(out)
+def _orbit(start, field, generators, members=None):
+    """The orbit of the point form `start` under the point permutations
+    of the matrices `generators`, as a set of point forms.  With
+    `members`, an image outside it raises ConstructionError."""
+    id_map = field.automorphisms()[0]
+    perms = [point_permutation(field, M, id_map) for M in generators]
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        form = frontier.pop()
+        for perm in perms:
+            image = _image(form, perm)
+            if image not in seen:
+                if members is not None and image not in members:
+                    raise ConstructionError("an image is not a flag of the class")
+                seen.add(image)
+                frontier.append(image)
+    return seen
 
 
 def orbit_class(sig):
@@ -207,18 +237,8 @@ def orbit_class(sig):
     """
     field, n, zero = sig.field, sig.ambient, sig.field.zero
     rows, _ = projective_points(field, n)
-    id_map = field.automorphisms()[0]
-    perms = [point_permutation(field, M, id_map) for M in _isometries(field, n)]
-    start = point_forms([coordinate_flag(sig)])[0]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        form = frontier.pop()
-        for perm in perms:
-            image = _image(form, perm)
-            if image not in seen:
-                seen.add(image)
-                frontier.append(image)
+    seen = _orbit(point_forms([coordinate_flag(sig)])[0], field,
+                  _isometries(field, n))
     closed = class_size(sig)
     if len(seen) != closed:
         raise ConstructionError(
@@ -248,21 +268,9 @@ def orbit_size(flags, generators):
     Raises ConstructionError when an image is not one of `flags`, so an
     orbit as large as `flags` is the whole list.
     """
-    field = flags[0].signature.field
-    id_map = field.automorphisms()[0]
     forms = point_forms(flags)
-    index = {form: v for v, form in enumerate(forms)}
-    perms = [_form_perm(forms, index, point_permutation(field, M, id_map))
-             for M in generators]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for perm in perms:
-            if perm[v] not in seen:
-                seen.add(perm[v])
-                frontier.append(perm[v])
-    return len(seen)
+    return len(_orbit(forms[0], flags[0].signature.field, generators,
+                      set(forms)))
 
 
 @dataclass
@@ -360,12 +368,13 @@ def orbit_census(flags, limit=0) -> OrbitCensus:
 # vertex maps of a finite class graph
 
 
-def _graph_perm(flags, index, image_fn):
-    """The permutation v -> index of image_fn(flags[v]), where `index`
-    maps each flag key to its position in `flags`."""
+def _form_perm(graph, move):
+    """The permutation v -> the vertex whose point form is move(form of
+    v); the image of each vertex must be a vertex."""
+    forms, index = graph.point_forms()
     out = []
-    for flag in flags:
-        v = index.get(image_fn(flag).key())
+    for form in forms:
+        v = index.get(move(form))
         if v is None:
             raise ConstructionError("an image is not a flag of the class")
         out.append(v)
@@ -374,15 +383,17 @@ def _graph_perm(flags, index, image_fn):
 
 def semilinear_vertex_map(graph, M: Matrix, phi):
     """Vertex permutation from x -> M phi(x) applied to every slot, read
-    off its point permutation; the image of each vertex must be a vertex."""
-    return _form_perm(*graph.point_forms(),
-                      point_permutation(graph.vertices[0].signature.field, M, phi))
+    off its point permutation."""
+    perm = point_permutation(graph.vertices[0].signature.field, M, phi)
+    return _form_perm(graph, lambda form: _image(form, perm))
 
 
 def slot_permutation_vertex_map(graph, delta: SdPermutation):
-    """Vertex permutation from a dimension-preserving slot relabeling."""
-    return _graph_perm(graph.vertices, graph.index,
-                       lambda flag: flag.permute_slots(delta))
+    """Vertex permutation from a dimension-preserving slot relabeling:
+    slot i of the image is the old slot delta(i), as in
+    `EigenFlag.permute_slots`."""
+    delta.validate_for(graph.vertices[0].signature)
+    return _form_perm(graph, lambda form: tuple(map(form.__getitem__, delta.images)))
 
 
 def sd_generators(sig):
@@ -503,8 +514,10 @@ def chow_vertex_map(graph, M: Matrix):
     map everywhere (which happens exactly when M respects
     orthogonality on the class).
     """
-    perm = _graph_perm(graph.vertices, graph.index,
-                       lambda flag: chow_image(flag, M))
+    perm = tuple(graph.index.get(chow_image(flag, M).key())
+                 for flag in graph.vertices)
+    if None in perm:
+        raise ConstructionError("an image is not a flag of the class")
     if len(set(perm)) != len(perm):
         raise ConstructionError("twist is not injective on the class")
     witness = next(

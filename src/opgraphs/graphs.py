@@ -12,8 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-from .constructions import point_forms
-from .enumeration import subspaces_within
+from .constructions import point_forms, projective_points, slot_hyperplanes
 from .spectral import contract, enumerate_class
 
 
@@ -47,7 +46,9 @@ class LabeledGraph:
         W = X_i + X_j, so X_j ∩ Y_j = (X_i + Y_i)^⊥ ∩ W and the slot-j
         spaces meet in a hyperplane exactly when the slot-i spaces do.
         The flags of a bucket sharing a hyperplane of the smaller slot
-        form a clique, and distinct spaces share at most one.
+        form a clique, and distinct spaces share at most one.  A
+        hyperplane is named by the sorted ids of its projective points
+        (`constructions.slot_hyperplanes`), read once per slot space.
         """
         if flags is None:
             flags = enumerate_class(signature)
@@ -55,14 +56,19 @@ class LabeledGraph:
         if any(a.key() == b.key() for a, b in zip(flags, flags[1:])):
             raise ValueError("flags repeat a flag")
         k, dims = signature.k, signature.dims
+        _, index = projective_points(signature.field, signature.ambient)
+        hyperplanes = {}
         cliques = []
         for i, j in combinations(range(k), 2):
             s = i if dims[i] <= dims[j] else j
             keys = {}
             for v, flag in enumerate(flags):
                 frozen = tuple(flag.spaces[t].rows for t in range(k) if t not in (i, j))
-                for H in subspaces_within(flag.spaces[s], dims[s] - 1):
-                    keys.setdefault((frozen, H.rows), []).append(v)
+                S = flag.spaces[s]
+                if S not in hyperplanes:
+                    hyperplanes[S] = slot_hyperplanes(S, index)
+                for H in hyperplanes[S]:
+                    keys.setdefault((frozen, H), []).append(v)
             cliques.extend(((i, j), tuple(vs)) for vs in keys.values() if len(vs) > 1)
         return cls(flags, cliques)
 

@@ -1,14 +1,70 @@
 """Brute-force oracles that left the production path.
 
-`orthogonal_decompositions` enumerates a finite class slot by slot
+`subspaces` lists every subspace of one dimension through its reduced
+row echelon basis, and `subspaces_within` every subspace of a given
+one; `orthogonal_decompositions` enumerates a finite class slot by slot
 inside the running orthocomplement; `semilinear_image` maps a flag
-through row-reduced subspaces.  The production paths
-(`constructions.orbit_class` and the point permutations) are checked
+through row-reduced subspaces.  The production paths (the point ids of
+`constructions.projective_points`, `constructions.slot_hyperplanes`,
+`constructions.orbit_class` and the point permutations) are checked
 against them.
 """
 
-from opgraphs.enumeration import subspaces_within
+from itertools import combinations, product
+
 from opgraphs.linalg import Subspace, relative_orthocomplement
+
+
+def _require_finite(field):
+    if not field.is_finite:
+        raise ValueError("enumeration requires a finite backend")
+
+
+def subspaces(field, ambient, k):
+    """All k-dimensional subspaces of field^ambient, once each: pick
+    pivot columns, then run over all assignments of the free entries."""
+    _require_finite(field)
+    if k < 0 or k > ambient:
+        return
+    if k == 0:
+        yield Subspace.zero_space(field, ambient)
+        return
+    els = field.elements()
+    zero, one = field.zero, field.one
+    for pivots in combinations(range(ambient), k):
+        pivot_set = set(pivots)
+        free = [
+            (r, c)
+            for r in range(k)
+            for c in range(pivots[r] + 1, ambient)
+            if c not in pivot_set
+        ]
+        for values in product(els, repeat=len(free)):
+            rows = [[zero] * ambient for _ in range(k)]
+            for r, p in enumerate(pivots):
+                rows[r][p] = one
+            for (r, c), x in zip(free, values):
+                rows[r][c] = x
+            yield Subspace(field, ambient, rows)
+
+
+def subspaces_within(W: Subspace, k):
+    """All k-dimensional subspaces of the given subspace."""
+    f = W.field
+    _require_finite(f)
+    for S in subspaces(f, W.dim, k):
+        yield Subspace(f, W.ambient, [W.vector_at(c) for c in S.rows])
+
+
+def gaussian_binomial(m, k, q):
+    """Number of k-dimensional subspaces of an m-dimensional space."""
+    if k < 0 or k > m:
+        return 0
+    num = den = 1
+    for t in range(k):
+        num *= q ** (m - t) - 1
+        den *= q ** (t + 1) - 1
+    return num // den
 
 
 def nondegenerate_subspaces_within(W: Subspace, k):
@@ -24,8 +80,7 @@ def orthogonal_decompositions(field, ambient, dims):
     Works slot by slot inside the running orthocomplement, so every
     decomposition appears exactly once.
     """
-    if not field.is_finite:
-        raise ValueError("enumeration requires a finite backend")
+    _require_finite(field)
     if sum(dims) != ambient:
         raise ValueError("dimensions must sum to the ambient dimension")
 

@@ -12,7 +12,6 @@ import pytest
 
 from opgraphs import constructions
 from opgraphs.autgroup import StabChain, is_automorphism
-from opgraphs.enumeration import gaussian_binomial
 from opgraphs.constructions import (
     ConstructionError,
     chow_image,
@@ -28,6 +27,7 @@ from opgraphs.constructions import (
     sd_generators,
     sd_group_order,
     semilinear_vertex_map,
+    slot_hyperplanes,
     slot_permutation_vertex_map,
     swap_flag,
     unitary_generators,
@@ -38,12 +38,13 @@ from opgraphs.constructions import (
 from opgraphs.graphs import LabeledGraph
 from opgraphs.lemmas import _rotated_pair_flag
 from opgraphs.linalg import Matrix, Subspace
-from opgraphs.spectral import (EigenFlag, adjacency_slots,
+from opgraphs.spectral import (EigenFlag, SdPermutation, adjacency_slots,
                                classify_pairs, coordinate_flag,
                                enumerate_class)
 from opgraphs.starfield import QI, galois_field
 from tests.conftest import signature
-from tests.oracles import semilinear_image
+from tests.oracles import (gaussian_binomial, semilinear_image, subspaces,
+                           subspaces_within)
 
 GEN_ROWS_U3_GF9 = (
     ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
@@ -187,6 +188,30 @@ def test_projective_points_are_sorted_rref_rows(f9):
     assert all(index[v] == i for i, v in enumerate(rows))
 
 
+@pytest.mark.parametrize("p, e, n", [(3, 1, 3), (2, 1, 4), (2, 2, 3)],
+                         ids=["GF(9)^3", "GF(4)^4", "GF(16)^3"])
+def test_projective_points_match_the_line_oracle(p, e, n):
+    field = galois_field(p, e)
+    rows, _ = projective_points(field, n)
+    assert rows == tuple(sorted(S.rows[0] for S in subspaces(field, n, 1)))
+
+
+@pytest.mark.parametrize("p, n", [(3, 3), (2, 4)], ids=["GF(9)^3", "GF(4)^4"])
+def test_slot_hyperplanes_match_the_oracle(p, n):
+    # every subspace in every dimension, so hyperplanes of 3- and
+    # 4-spaces, which no class graph keys on, are covered too
+    field = galois_field(p, 1)
+    _, index = projective_points(field, n)
+
+    def ids(H):
+        return tuple(sorted(index[L.rows[0]] for L in subspaces_within(H, 1)))
+
+    for d in range(1, n + 1):
+        for S in subspaces(field, n, d):
+            assert (sorted(slot_hyperplanes(S, index))
+                    == sorted(map(ids, subspaces_within(S, d - 1))))
+
+
 def test_point_permutation_refuses_singular_maps(f9):
     singular = Matrix(f9, ((f9.one, f9.zero, f9.zero),
                            (f9.one, f9.zero, f9.zero),
@@ -229,6 +254,15 @@ def test_point_permutation_vertex_maps_match_the_oracle(p, sigma, dims):
         oracle = tuple(graph.index[semilinear_image(flag, M, phi).key()]
                        for flag in graph.vertices)
         assert semilinear_vertex_map(graph, M, phi) == oracle
+    for delta in sd_generators(sig):
+        oracle = tuple(graph.index[flag.permute_slots(delta).key()]
+                       for flag in graph.vertices)
+        assert slot_permutation_vertex_map(graph, delta) == oracle
+
+
+def test_slot_permutation_vertex_map_refuses_dimension_changes(grassmann_graph):
+    with pytest.raises(ValueError, match="does not preserve dimensions"):
+        slot_permutation_vertex_map(grassmann_graph, SdPermutation((1, 0)))
 
 
 def test_linear_vertex_maps_from_isometries(flagship_graph, f9):

@@ -4,18 +4,13 @@ decomposition oracle."""
 
 import pytest
 
-from opgraphs.enumeration import (
-    gaussian_binomial,
-    nonzero_vectors,
-    subspaces,
-    subspaces_within,
-)
 from opgraphs.linalg import Subspace
 from opgraphs.spectral import EigenFlag, enumerate_class
 from opgraphs.starfield import QI, galois_field
 from tests.conftest import signature
-from tests.oracles import (nondegenerate_subspaces_within,
-                           orthogonal_decompositions)
+from tests.oracles import (gaussian_binomial, nondegenerate_subspaces_within,
+                           orthogonal_decompositions, subspaces,
+                           subspaces_within)
 
 
 def test_gaussian_binomial_values():
@@ -38,11 +33,6 @@ def test_subspace_counts_match_gaussian_binomials(f9):
             assert len(set(got)) == len(got)  # each subspace once
             for s in got:
                 assert s.dim == k
-
-
-def test_nonzero_vector_count(f9):
-    assert sum(1 for _ in nonzero_vectors(f9, 2)) == 80
-    assert sum(1 for _ in nonzero_vectors(f9, 3)) == 728
 
 
 def test_subspaces_within_a_plane(f9):

@@ -152,6 +152,19 @@ def test_gf9_planes_graph_is_pinned():
     assert len(graph.cliques) == 820
 
 
+def test_gf4_planes_graph_is_pinned():
+    # GF(4)^5 (2,3): each flag is filed under the q^2 + 1 = 5 points of
+    # its plane slot; the numbers come from the rref-row hyperplane keys
+    # that the point ids replaced
+    graph = LabeledGraph.build(signature(galois_field(2, 1), ("0", "1"), (2, 3)))
+    assert graph.n == 3520
+    assert len(graph.edges) == 469920
+    assert graph.degree_histogram() == {267: 3520}
+    # one clique per point of PG(4, 4)
+    assert len(graph.cliques) == 341
+    assert {len(vs) for _, vs in graph.cliques} == {40, 64}
+
+
 def test_pair_components_are_the_fibers(flagship_graph):
     comps = flagship_graph.ij_components(1, 2)
     fibers = flagship_graph.fiber_partition(1, 2)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opgraphs.enumeration import subspaces
 from opgraphs.linalg import (
     DegenerateSubspaceError,
     Matrix,
@@ -20,6 +19,7 @@ from opgraphs.linalg import (
     rref,
 )
 from opgraphs.starfield import QI, galois_field
+from tests.oracles import subspaces
 
 F9 = galois_field(3, 1)
 

@@ -23,9 +23,9 @@ from opgraphs.spectral import (
     invariance_condition,
     rank_condition,
 )
-from opgraphs.enumeration import subspaces
 from opgraphs.starfield import QI, galois_field
 from tests.conftest import signature
+from tests.oracles import subspaces
 
 
 def qi(re, im=0):
