@@ -99,6 +99,8 @@ def _usage_errors():
 def _load_fixture(path):
     try:
         fixture = load_json(path)
+    except OSError as e:
+        raise CliError(f"cannot read fixture {path}: {e.strerror}") from None
     except ValueError as e:
         raise CliError(f"fixture {path} is not valid JSON: {e}") from None
     if not isinstance(fixture, dict):
@@ -198,6 +200,9 @@ def cmd_enumerate(args):
 def cmd_adjacency(args):
     try:
         a, b = load_pair(args.pair_file)
+    except OSError as e:
+        raise CliError(
+            f"cannot read pair file {args.pair_file}: {e.strerror}") from None
     except (ValueError, TypeError, KeyError) as e:
         raise CliError(f"malformed pair file {args.pair_file}: {e!r}") from None
     config = {
@@ -434,8 +439,7 @@ def cmd_counterexample(args):
     config["budget"] = args.budget
     config["limit"] = args.limit
     if field.is_finite:
-        flags = enumerate_class(sig)
-        census = orbit_census(flags, limit=args.limit)
+        census = orbit_census(sig, limit=args.limit)
         results = {
             "mode": "exhaustive",
             "total_pairs": census.total,
@@ -450,7 +454,7 @@ def cmd_counterexample(args):
         if census.rank_only_count == 0:
             results["outcome"] = "exhaustively none"
             return config, results, EXIT_OK
-        certs = census_certificates(flags, census, limit=args.limit)
+        certs = census_certificates(census.flags, census, limit=args.limit)
         checks = [verify_certificate(field, c) for c in certs]
         results["outcome"] = "certified"
         results["certificates"] = certs

@@ -11,11 +11,10 @@ sorted ids of its points, read off one incidence table per field and
 dimension (`slot_hyperplanes`); the class graph keys its edges on them.
 The subgroup of the graph automorphism group they generate is computed
 exactly and certified against its closed-form order.  The transitive
-action of the isometries, certified by `certify_transitive`, also
-reduces the pair census of a finite class to one row.  The module also
-carries the two-slot orthocomplement twist, the tilt scan that
-proposes two-slot moves, the independent-pair swap, and the one-sided
-path obstruction.
+action of the isometries, certified by the orbit walk, also reduces the
+pair census of a finite class to one row.  The module also carries the
+two-slot orthocomplement twist, the tilt scan that proposes two-slot
+moves, the independent-pair swap, and the one-sided path obstruction.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ from itertools import product
 from .autgroup import StabChain, is_automorphism
 from .linalg import Matrix, Subspace, herm_form, matvec
 from .spectral import (ADJACENT, RANK_ONLY, RANK_OTHER, EigenFlag,
-                       SdPermutation, coordinate_flag, pair_verdict)
+                       SdPermutation, coordinate_flag, enumerate_class,
+                       pair_verdict)
 
 
 class ConstructionError(RuntimeError):
@@ -184,18 +184,11 @@ def slot_hyperplanes(S, index):
             for pos in _hyperplane_incidence(S.field, S.dim)]
 
 
-def point_forms(flags):
-    """The point form of each flag: per slot, its sorted point ids."""
-    sig = flags[0].signature
+def point_form(flag):
+    """The point form of a flag: per slot, its sorted point ids."""
+    sig = flag.signature
     _, index = projective_points(sig.field, sig.ambient)
-    slots = {}
-
-    def points(S):
-        if S not in slots:
-            slots[S] = tuple(sorted(_slot_points(S, index)))
-        return slots[S]
-
-    return [tuple(map(points, flag.spaces)) for flag in flags]
+    return tuple(tuple(sorted(_slot_points(S, index))) for S in flag.spaces)
 
 
 def _image(form, perm):
@@ -204,10 +197,9 @@ def _image(form, perm):
                  else tuple(sorted(map(perm.__getitem__, ids))) for ids in form)
 
 
-def _orbit(start, field, generators, members=None):
+def _orbit(start, field, generators):
     """The orbit of the point form `start` under the point permutations
-    of the matrices `generators`, as a set of point forms.  With
-    `members`, an image outside it raises ConstructionError."""
+    of the matrices `generators`, as a set of point forms."""
     id_map = field.automorphisms()[0]
     perms = [point_permutation(field, M, id_map) for M in generators]
     seen = {start}
@@ -217,8 +209,6 @@ def _orbit(start, field, generators, members=None):
         for perm in perms:
             image = _image(form, perm)
             if image not in seen:
-                if members is not None and image not in members:
-                    raise ConstructionError("an image is not a flag of the class")
                 seen.add(image)
                 frontier.append(image)
     return seen
@@ -226,7 +216,8 @@ def _orbit(start, field, generators, members=None):
 
 def orbit_class(sig):
     """Every flag of a finite class, as the orbit of `coordinate_flag`
-    under the `unitary_generators` point permutations, sorted by key.
+    under the `unitary_generators` point permutations.  Returns (flags,
+    forms): the flags sorted by key, and the point form of each.
 
     Each generator is checked to be an isometry, so the orbit lies in
     the class; U(n,q) is transitive on the class (Witt), so the orbit is
@@ -236,8 +227,10 @@ def orbit_class(sig):
     per leading column (a basis).
     """
     field, n, zero = sig.field, sig.ambient, sig.field.zero
+    if not field.is_finite:
+        raise ValueError("class enumeration requires a finite backend")
     rows, _ = projective_points(field, n)
-    seen = _orbit(point_forms([coordinate_flag(sig)])[0], field,
+    seen = _orbit(point_form(coordinate_flag(sig)), field,
                   _isometries(field, n))
     closed = class_size(sig)
     if len(seen) != closed:
@@ -256,21 +249,19 @@ def orbit_class(sig):
             spaces[ids] = Subspace(field, n, basis.values())
         return spaces[ids]
 
-    flags = [EigenFlag(sig, map(space, form), check=False) for form in seen]
-    flags.sort(key=EigenFlag.key)
-    return tuple(flags)
+    walk = sorted(((EigenFlag(sig, map(space, form), check=False), form)
+                   for form in seen), key=lambda pair: pair[0].key())
+    flags, forms = zip(*walk)
+    return flags, forms
 
 
-def orbit_size(flags, generators):
-    """Size of the orbit of flags[0] under the isometries `generators`,
-    walked on the point forms of `flags`.
-
-    Raises ConstructionError when an image is not one of `flags`, so an
-    orbit as large as `flags` is the whole list.
-    """
-    forms = point_forms(flags)
-    return len(_orbit(forms[0], flags[0].signature.field, generators,
-                      set(forms)))
+def pairs_from_row(n, count):
+    """n * count / 2, the unordered pairs of a class of n flags whose
+    every row holds `count` of them; raises ConstructionError when
+    n * count is odd."""
+    if n * count % 2:
+        raise ConstructionError(f"{n} flags times a row count of {count} is odd")
+    return n * count // 2
 
 
 @dataclass
@@ -278,9 +269,11 @@ class OrbitCensus:
     """Pair counts of a finite class, read off one row and scaled.
 
     Counts are over unordered pairs, as in `spectral.PairCensus`;
-    `rank_only` holds only the first `limit` rank-only pairs.
+    `rank_only` holds only the first `limit` rank-only pairs, as indices
+    into `flags`.
     """
 
+    flags: tuple             # the class, as `spectral.enumerate_class` lists it
     total: int
     rank_other: int
     adjacent_count: int
@@ -297,49 +290,22 @@ class OrbitCensus:
                 "pairs_classified": self.pairs_classified}
 
 
-def certify_transitive(flags):
-    """Certify that U(n,q) is transitive on the class `flags` lists, so
-    that every row of a count that isometries keep equals row 0.
-
-    The orbit of flags[0] under `unitary_generators` must be all n
-    flags, and n must equal `class_size`; otherwise ConstructionError
-    is raised.  Returns (orbit size, closed form, scaled), where
-    scaled(c) = n * c / 2 is the number of unordered pairs when every
-    row holds c of them, and raises ConstructionError when n * c is odd.
-    """
-    n = len(flags)
-    sig = flags[0].signature
-    closed = class_size(sig)
-    orbit = orbit_size(flags, _isometries(sig.field, sig.ambient))
-    if not orbit == n == closed:
-        raise ConstructionError(
-            f"U(n,q) is not certified transitive: the orbit of the first "
-            f"flag has {orbit} flags, the class {n}, the closed form {closed}")
-
-    def scaled(count):
-        if n * count % 2:
-            raise ConstructionError(
-                f"{n} flags times a row count of {count} is odd")
-        return n * count // 2
-
-    return orbit, closed, scaled
-
-
-def orbit_census(flags, limit=0) -> OrbitCensus:
-    """The counts of `spectral.classify_pairs` from the row of flags[0].
+def orbit_census(sig, limit=0) -> OrbitCensus:
+    """The counts of `spectral.classify_pairs` on the class `sig`, read
+    off the row of flag 0.
 
     Conjugation by an isometry U keeps both readings of adjacency:
     rank(U D U*) = rank D, Img(U D U*) = U Img D, and slots move to
-    slots.  When U(n,q) is transitive on the class, every row has the
-    counts of row 0, and each total is n * (row count) / 2.  Every call
-    certifies that with `certify_transitive`, which raises
-    ConstructionError before anything is scaled.
+    slots.  U(n,q) is transitive on the class, so every row has the
+    counts of row 0, and each total is n * (row count) / 2.  The class
+    is the orbit that `enumerate_class` walks and certifies before
+    anything is scaled.
 
     `rank_only` equals `classify_pairs(flags).rank_only[:limit]`: row 0
     first, then rows 1, 2, ... over v > u while more pairs are wanted.
     """
+    flags = enumerate_class(sig)
     n = len(flags)
-    orbit, closed, scaled = certify_transitive(flags)
     row = Counter()
     mismatches = 0
     rank_only = []
@@ -351,9 +317,9 @@ def orbit_census(flags, limit=0) -> OrbitCensus:
             rank_only.append((0, v))
 
     census = OrbitCensus(
-        n * (n - 1) // 2, scaled(row[RANK_OTHER]), scaled(row[ADJACENT]),
-        scaled(row[RANK_ONLY]), scaled(mismatches), rank_only, orbit, closed,
-        n - 1)
+        flags, n * (n - 1) // 2, pairs_from_row(n, row[RANK_OTHER]),
+        pairs_from_row(n, row[ADJACENT]), pairs_from_row(n, row[RANK_ONLY]),
+        pairs_from_row(n, mismatches), rank_only, n, class_size(sig), n - 1)
     wanted = min(limit, census.rank_only_count)
     later = ((u, v) for u in range(1, n) for v in range(u + 1, n))
     while len(rank_only) < wanted:
@@ -371,10 +337,9 @@ def orbit_census(flags, limit=0) -> OrbitCensus:
 def _form_perm(graph, move):
     """The permutation v -> the vertex whose point form is move(form of
     v); the image of each vertex must be a vertex."""
-    forms, index = graph.point_forms()
     out = []
-    for form in forms:
-        v = index.get(move(form))
+    for form in graph.forms:
+        v = graph.form_index.get(move(form))
         if v is None:
             raise ConstructionError("an image is not a flag of the class")
         out.append(v)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-from .constructions import point_forms, projective_points, slot_hyperplanes
-from .spectral import contract, enumerate_class
+from .constructions import orbit_class, projective_points, slot_hyperplanes
+from .spectral import contract
 
 
 class TypeMapError(RuntimeError):
@@ -26,19 +26,22 @@ class BlockMapError(RuntimeError):
 
 class LabeledGraph:
     """Finite class graph stored as `cliques`: (slot pair, sorted vertex
-    tuple) per key of `build`, every edge in exactly one clique."""
+    tuple) per key of `build`, every edge in exactly one clique.  Each
+    vertex also has its point form (`forms`, as `orbit_class` returns
+    them), and `form_index` maps a form back to its vertex."""
 
-    def __init__(self, vertices, cliques):
+    def __init__(self, vertices, cliques, forms):
         self.vertices = tuple(vertices)
         self.index = {flag.key(): v for v, flag in enumerate(self.vertices)}
         self.cliques = tuple(cliques)
+        self.forms = tuple(forms)
+        self.form_index = {form: v for v, form in enumerate(self.forms)}
         self._adjlist = None
         self._cliques_at = None
-        self._point_forms = None
 
     @classmethod
-    def build(cls, signature, flags=None):
-        """Enumerate the class (unless flags are supplied) and connect it.
+    def build(cls, signature):
+        """Enumerate the class with its certified orbit walk and connect it.
 
         Two flags can only be adjacent when they agree on every slot
         but two, so candidates are bucketed by the frozen slots.  Two
@@ -50,11 +53,7 @@ class LabeledGraph:
         hyperplane is named by the sorted ids of its projective points
         (`constructions.slot_hyperplanes`), read once per slot space.
         """
-        if flags is None:
-            flags = enumerate_class(signature)
-        flags = sorted(flags, key=lambda f: f.key())
-        if any(a.key() == b.key() for a, b in zip(flags, flags[1:])):
-            raise ValueError("flags repeat a flag")
+        flags, forms = orbit_class(signature)
         k, dims = signature.k, signature.dims
         _, index = projective_points(signature.field, signature.ambient)
         hyperplanes = {}
@@ -70,7 +69,7 @@ class LabeledGraph:
                 for H in hyperplanes[S]:
                     keys.setdefault((frozen, H), []).append(v)
             cliques.extend(((i, j), tuple(vs)) for vs in keys.values() if len(vs) > 1)
-        return cls(flags, cliques)
+        return cls(flags, cliques, forms)
 
     @property
     def n(self):
@@ -90,14 +89,6 @@ class LabeledGraph:
             self._adjlist = tuple(tuple(sorted(w for w in x if w != v))
                                   for v, x in enumerate(nbrs))
         return self._adjlist
-
-    def point_forms(self):
-        """(forms, index): each vertex's `constructions.point_forms`
-        entry, and the vertex of each form."""
-        if self._point_forms is None:
-            forms = point_forms(self.vertices)
-            self._point_forms = forms, {f: v for v, f in enumerate(forms)}
-        return self._point_forms
 
     def degree_histogram(self):
         return Counter(len(nbrs) for nbrs in self.adjacency())

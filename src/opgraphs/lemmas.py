@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from random import Random
 
-from .constructions import (ConstructionError, certify_transitive,
-                            induced_order, induced_subgroup,
-                            obstruction_witness, orbit_census,
+from .constructions import (ConstructionError, class_size, induced_order,
+                            induced_subgroup, obstruction_witness,
+                            orbit_census, pairs_from_row,
                             reverse_middle_flags, swap_flag, tilts)
 from .graphs import (LabeledGraph, TypeMapError, classify_type_map,
                      induced_type_map, johnson_graph, pair_complement_map)
@@ -25,7 +25,7 @@ from .autgroup import automorphism_group, backtracking_order, is_automorphism
 from .linalg import Subspace, relative_orthocomplement
 from .sampling import random_flag, random_vector
 from .spectral import (ClassSignature, EigenFlag, adjacency_slots, adjacent,
-                       contract, coordinate_flag, enumerate_class)
+                       contract, coordinate_flag)
 
 
 def _rotated_pair_flag(sig, base, i, j, rng=None):
@@ -70,7 +70,7 @@ def verify_move_equivalence(sig, samples=40, seed=0):
     report = {"lemma": "a1a2-equiv", "field": sig.field.descriptor(),
               "signature": sig.to_json()}
     if sig.field.is_finite:
-        census = orbit_census(enumerate_class(sig))
+        census = orbit_census(sig)
         report.update({
             "mode": "exhaustive",
             "pairs": census.total,
@@ -143,12 +143,12 @@ def verify_fiber_lift(sig, i=None, j=None):
     and keeps meet lines, their nondegeneracy, lift pairs and class-graph
     edges, so an edge's outcome is constant on U(n,q)-orbits.  Only the
     edges at contracted vertex 0 are classified, and each count is
-    scaled by `certify_transitive`, which certifies on every call that
-    U(n,q) is transitive on the contracted class; n2 * deg(0) / 2 must
-    also equal the contracted edge count.  The unconditional claim
-    holds over a definite form, where degenerate meets cannot occur,
-    and fails over finite backends exactly on the degenerate-meet
-    pairs.  Slot i merges into slot j; the pair defaults to (k - 1, 0)
+    scaled by the n2 vertices of the contracted graph, whose orbit walk
+    certifies that U(n,q) is transitive on the contracted class;
+    n2 * deg(0) / 2 must also equal the contracted edge count.  The
+    unconditional claim holds over a definite form, where degenerate
+    meets cannot occur, and fails over finite backends exactly on the
+    degenerate-meet pairs.  Slot i merges into slot j; the pair defaults to (k - 1, 0)
     and is given whole or not at all.
     """
     if (i is None) != (j is None):
@@ -184,13 +184,12 @@ def verify_fiber_lift(sig, i=None, j=None):
         return report
     graph = LabeledGraph.build(sig)
     graph2 = LabeledGraph.build(sig2)
-    orbit, closed, scaled = certify_transitive(graph2.vertices)
     owner = [graph2.index[contract(flag, i, j).key()] for flag in graph.vertices]
     # the contracted vertices joined to vertex 0 by an edge of the class graph
     lifted = {owner[w] for v in range(graph.n) if owner[v] == 0
               for w in graph.adjacency()[v]}
     row = graph2.adjacency()[0]
-    if scaled(len(row)) != len(graph2.edges):
+    if pairs_from_row(graph2.n, len(row)) != len(graph2.edges):
         raise ConstructionError(
             f"{graph2.n} rows of degree {len(row)} do not give the "
             f"{len(graph2.edges)} contracted edges")
@@ -213,12 +212,12 @@ def verify_fiber_lift(sig, i=None, j=None):
     report.update({
         "mode": "exhaustive",
         "contracted_edges": len(graph2.edges),
-        "liftable": scaled(passes),
-        "blocked_by_degenerate_meet": scaled(failures),
-        "exceptions_to_dichotomy": scaled(exceptions),
+        "liftable": pairs_from_row(graph2.n, passes),
+        "blocked_by_degenerate_meet": pairs_from_row(graph2.n, failures),
+        "exceptions_to_dichotomy": pairs_from_row(graph2.n, exceptions),
         "holds": failures == 0 and exceptions == 0,
-        "orbit_size": orbit,
-        "class_size_closed_form": closed,
+        "orbit_size": graph2.n,
+        "class_size_closed_form": class_size(sig2),
         "pairs_classified": len(row),
     })
     return report

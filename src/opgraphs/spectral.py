@@ -327,11 +327,9 @@ def enumerate_class(sig: ClassSignature):
     U(n,q), certified against its closed-form size
     (`constructions.orbit_class`).
     """
-    if not sig.field.is_finite:
-        raise ValueError("class enumeration requires a finite backend")
     from .constructions import orbit_class
 
-    return orbit_class(sig)
+    return orbit_class(sig)[0]
 
 
 RANK_OTHER, ADJACENT, RANK_ONLY = "rank_other", "adjacent", "rank_only"

@@ -64,8 +64,8 @@ def flagship_census(flagship_flags):
 
 
 @pytest.fixture(scope="session")
-def flagship_graph(flagship_sig, flagship_flags):
-    return LabeledGraph.build(flagship_sig, flagship_flags)
+def flagship_graph(flagship_sig):
+    return LabeledGraph.build(flagship_sig)
 
 
 @pytest.fixture(scope="session")
@@ -93,8 +93,8 @@ def grassmann_census(grassmann_flags):
 
 
 @pytest.fixture(scope="session")
-def grassmann_graph(grassmann_sig, grassmann_flags):
-    return LabeledGraph.build(grassmann_sig, grassmann_flags)
+def grassmann_graph(grassmann_sig):
+    return LabeledGraph.build(grassmann_sig)
 
 
 @pytest.fixture(scope="session")

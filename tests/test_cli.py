@@ -455,7 +455,6 @@ NO_DIR = "no-such-dir/report.json"    # under tmp_path, so never writable
      "--i", "5", "--j", "0"),
     ("components", "--fixture", "flagship.json", "--i", "0", "--j", "0"),
     ("components", "--fixture", "flagship.json", "--type", "ibar", "--i", "3"),
-    ("adjacency", "--pair-file", "missing.json"),
     ("counterexample", "--fixture", "flagship.json", "--limit", "-1"),
     ("enumerate", "--dims", "1,x"),
     ("enumerate", "--fixture", "not-json.json"),
@@ -556,6 +555,8 @@ def test_error_reports_name_unexpected_exceptions(capsys, tmp_path,
     ("verify-lemma", "--lemma", "swap", "--backend", "qi", "--sigma", "1,2,3,4,5"),
     ("verify-lemma", "--lemma", "swap", "--p", "2", "--e", "2",
      "--sigma", "0,0,1,2,3"),
+    ("adjacency", "--pair-file", "missing.json"),
+    ("enumerate", "--fixture", "missing.json"),
 ], ids=" ".join)
 def test_bad_field_or_class_is_a_usage_error(capsys, argv):
     argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
@@ -563,6 +564,37 @@ def test_bad_field_or_class_is_a_usage_error(capsys, argv):
     assert code == 1
     error = rep["results"]["error"]
     assert error and not re.match(r"\w+: ", error)   # no `<Type>: ` prefix
+
+
+def test_unreadable_input_files_are_usage_errors(capsys, tmp_path):
+    for option in (("enumerate", "--fixture"), ("adjacency", "--pair-file")):
+        code, rep = run(capsys, *option, str(tmp_path))   # a directory
+        assert code == 1
+        assert rep["results"]["error"].startswith("cannot read")
+
+
+@pytest.mark.parametrize("argv, exit_code, walks", [
+    (("counterexample", "--fixture", "flagship.json", "--limit", "3"), 0, 1),
+    (("verify-lemma", "--fixture", "flagship.json", "--lemma", "a1a2-equiv"),
+     0, 1),
+    (("automorphisms", "--fixture", "flagship.json", "--compare-induced"),
+     0, 1),
+    # the class and the contracted class
+    (("verify-lemma", "--fixture", "flagship.json", "--lemma", "lift"), 2, 2),
+], ids=lambda x: " ".join(x) if isinstance(x, tuple) else str(x))
+def test_each_class_is_walked_once(capsys, monkeypatch, argv, exit_code, walks):
+    calls = []
+    walk = constructions._orbit
+
+    def counted(*args):
+        calls.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(constructions, "_orbit", counted)
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    code, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert len(calls) == walks
 
 
 # An argv grammar for the fuzz below: a well-formed command line, with

@@ -106,7 +106,7 @@ BUILD_CLASSES = [
 def _built_and_scanned(field, sigma, dims):
     sig = signature(galois_field(*field), sigma, dims)
     flags = enumerate_class(sig)
-    return LabeledGraph.build(sig, flags), _bucket_scan(sig, flags)
+    return LabeledGraph.build(sig), _bucket_scan(sig, flags)
 
 
 @pytest.mark.parametrize("name,field,sigma,dims", BUILD_CLASSES,
@@ -131,13 +131,6 @@ def test_components_match_a_search_of_the_scan(name, field, sigma, dims):
     for keep in keeps:
         kept = [e for e, t in scan.items() if keep is None or keep(t)]
         assert graph.components(keep) == _search_components(graph.n, kept)
-
-
-def test_build_refuses_a_repeated_flag(flagship_sig, flagship_flags):
-    # two copies of one flag would share every hyperplane key
-    flags = list(flagship_flags)
-    with pytest.raises(ValueError, match="repeat"):
-        LabeledGraph.build(flagship_sig, flags + flags[:1])
 
 
 def test_gf9_planes_graph_is_pinned():
@@ -248,12 +241,6 @@ def test_eigenspace_action_rejects_block_mixing(flagship_graph):
     perm[vs1[0]], perm[vs2[0]] = perm[vs2[0]], perm[vs1[0]]
     with pytest.raises(BlockMapError):
         eigenspace_action(g, tuple(perm), 0, 0)
-
-
-def test_build_accepts_prebuilt_flags(grassmann_sig, grassmann_flags, grassmann_graph):
-    g2 = LabeledGraph.build(grassmann_sig)
-    assert g2.edges == grassmann_graph.edges
-    assert [f.key() for f in g2.vertices] == [f.key() for f in grassmann_graph.vertices]
 
 
 def test_johnson_graphs():

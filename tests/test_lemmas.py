@@ -143,11 +143,12 @@ def test_fiber_lift_checks_the_contracted_edge_count(flagship_sig, monkeypatch):
     # edges, so 63 rows of 60 edges overcount its 1830 edges
     class ShortContraction(LabeledGraph):
         @classmethod
-        def build(cls, sig, flags=None):
-            graph = LabeledGraph.build(sig, flags)
+        def build(cls, sig):
+            graph = LabeledGraph.build(sig)
             if sig.k == 2:
                 (label, vs), = graph.cliques
-                graph = LabeledGraph(graph.vertices, [(label, vs[:-2])])
+                graph = LabeledGraph(graph.vertices, [(label, vs[:-2])],
+                                     graph.forms)
             return graph
 
     monkeypatch.setattr(lemmas, "LabeledGraph", ShortContraction)
