@@ -11,12 +11,14 @@ is verified against the edge set before it is accepted.  The group
 order is read off the search tree: the product, over the first path,
 of the orbit length of each individualized vertex under the
 automorphisms fixing the ones before it (McKay, "Practical graph
-isomorphism", 1981).  A deterministic stabilizer chain (Schreier-Sims)
-serves the induced group and the oracles; orders are exact integers.
+isomorphism", 1981).  A stabilizer chain (Schreier-Sims) serves the
+induced group, closed by seeded random sifts up to a known order, and
+the oracles, closed deterministically; orders are exact integers.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter, defaultdict
 from itertools import chain, permutations
 from math import prod
@@ -77,7 +79,11 @@ def is_automorphism(adjlist, perm, masks=None):
 
 
 class StabChain:
-    """Deterministic incremental Schreier-Sims stabilizer chain.
+    """Schreier-Sims stabilizer chain.
+
+    `add` grows it deterministically one element at a time;
+    `close_known` closes it over a generating set by seeded random
+    sifts, given `known_order`.
 
     `orbits[l][x]` holds the inverse u_x^-1 of the transversal element
     u_x that sends base[l] to x, so sifting composes and never inverts.
@@ -156,6 +162,57 @@ class StabChain:
             return False
         self._append_gen(h, l)
         self._close(l)
+        return True
+
+    def close_known(self, gens):
+        """Close the chain over `gens` by random sifts up to `known_order`.
+
+        The generators are sifted in first.  Then product replacement
+        with a fixed seed (Celler et al., Comm. Algebra 23, 1995) keeps
+        at least 10 slots, seeded with copies of the generators: each
+        step sets one slot to its product with another, multiplies an
+        accumulator by it and sifts the accumulator; a residue other
+        than the identity joins the chain at its level.  This stops once
+        the order reaches `known_order` (Seress, "Permutation Group
+        Algorithms", 2003, section 4.3).
+
+        Every residue is a word in `gens`, so `order()` is a lower bound
+        on the order of the group they generate, and `known_order` must
+        be an upper bound; equality certifies a complete base and strong
+        generating set.  After 40 sifts in a row that leave the chain as
+        it is, the deterministic closure checks every Schreier generator
+        at every level; the generators are in the chain, so the order it
+        leaves is exact even when `known_order` is not reached.
+        """
+        if self.known_order is None:
+            raise ValueError("close_known needs known_order")
+        gens = [tuple(g) for g in gens] or [self.identity]
+        for g in gens:
+            self._sift_in(g)
+        slots = [gens[k % len(gens)] for k in range(max(10, len(gens)))]
+        rng = random.Random(0)
+        acc = self.identity
+        idle = 0
+        while self.order() < self.known_order:
+            if idle == 40:
+                self._close(len(self.base) - 1)
+                return
+            i = rng.randrange(len(slots))
+            j = rng.randrange(len(slots) - 1)
+            j += j >= i
+            slots[i] = compose(slots[i], slots[j])
+            acc = compose(acc, slots[i])
+            idle = 0 if self._sift_in(acc) else idle + 1
+
+    def _sift_in(self, g):
+        """Append g's residue, if any, and extend the orbits it reaches;
+        returns True when the chain grew."""
+        h, l = self.strip(g)
+        if h == self.identity:
+            return False
+        self._append_gen(h, l)
+        for k in range(l + 1):
+            self._extend_orbit(k)
         return True
 
     def _close(self, start):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .autgroup import StabChain, is_automorphism
+from .autgroup import StabChain, adjacency_masks, is_automorphism
 from .linalg import Matrix, Subspace, herm_form, matvec
 from .spectral import (ADJACENT, RANK_ONLY, RANK_OTHER, EigenFlag,
                        SdPermutation, coordinate_flag, enumerate_class,
@@ -430,15 +430,17 @@ def induced_subgroup(graph):
     """
     sig = graph.vertices[0].signature
     adj = graph.adjacency()
-    # the natural maps act through GammaU(n,q) x S_d with the scalars
-    # trivial, so `induced_order` bounds the group and may stop the chain
-    want = induced_order(sig)
-    chain = StabChain(graph.n, known_order=want)
+    masks = adjacency_masks(adj)
     gens = induced_generators(graph)
     for kind, data, perm in gens:
-        if not is_automorphism(adj, perm):
+        if not is_automorphism(adj, perm, masks):
             raise ConstructionError(f"{kind} map failed the automorphism check")
-        chain.add(perm)
+    # the natural maps act through GammaU(n,q) x S_d with the scalars
+    # trivial, so `induced_order` bounds the group and certifies the
+    # random closure once reached
+    want = induced_order(sig)
+    chain = StabChain(graph.n, known_order=want)
+    chain.close_known(perm for _, _, perm in gens)
     closed = class_size(sig)
     if graph.n != closed:
         raise ConstructionError(

@@ -7,8 +7,6 @@ retries, so every sampler takes an explicit rng and loops.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import Subspace, herm_form
 
 
@@ -17,9 +15,9 @@ def random_scalar(field, rng, height=4):
     `height` over the rationals, any element over a finite backend."""
     if field.is_finite:
         return rng.randrange(field.order)
-    re = Fraction(rng.randint(-height, height), rng.randint(1, height))
-    im = Fraction(rng.randint(-height, height), rng.randint(1, height))
-    return field.scalar(re, im)
+    a, b = rng.randint(-height, height), rng.randint(1, height)
+    c, d = rng.randint(-height, height), rng.randint(1, height)
+    return field.ratio(a, b, c, d)
 
 
 def random_vector(field, length, rng, height=4):

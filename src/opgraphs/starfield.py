@@ -127,9 +127,12 @@ class GaussianRationals:
 
     def scalar(self, re, im=0):
         re, im = Fraction(re), Fraction(im)
-        return _reduced(re.numerator * im.denominator,
-                        im.numerator * re.denominator,
-                        re.denominator * im.denominator)
+        return self.ratio(re.numerator, re.denominator,
+                          im.numerator, im.denominator)
+
+    def ratio(self, a, b, c, d):
+        """a/b + (c/d)*i for ints with b, d > 0."""
+        return _reduced(a * d, c * b, b * d)
 
     def parse_fixed(self, text):
         """Parse a rational string like '3/2' into a fixed scalar."""

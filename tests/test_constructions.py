@@ -347,15 +347,21 @@ def test_induced_generators_take_every_galois_map(flagship_groups, f9):
     (2, 1, ("0", "1"), (1, 3), 51840, 7),
     (2, 1, ("0", "1"), (2, 2), 103680, 8),
     (2, 2, ("0", "2"), (1, 2), 249600, 8),
+    (2, 2, ("0", "1", "2"), (1, 1, 1), 1497600, 10),
 ], ids=["GF(9)^3 1,1,1", "GF(9)^3 1,2", "GF(4)^3 1,2", "GF(4)^4 1,3",
-        "GF(4)^4 2,2", "GF(16)^3 1,2"])
+        "GF(4)^4 2,2", "GF(16)^3 1,2", "GF(16)^3 1,1,1"])
 def test_induced_order_matches_the_closed_form(
         p, e, sigma, dims, order, generators):
     sig = signature(galois_field(p, e), sigma, dims)
     assert induced_order(sig) == order
-    chain, gens = induced_subgroup(LabeledGraph.build(sig))
+    graph = LabeledGraph.build(sig)
+    chain, gens = induced_subgroup(graph)
     assert chain.order() == order
     assert len(gens) == generators
+    # the random closure is seeded; GF(4)^4 needs random sifts past the
+    # natural maps themselves
+    again, _ = induced_subgroup(graph)
+    assert (again.base, again.generators()) == (chain.base, chain.generators())
 
 
 @pytest.mark.parametrize("p, e, sigma, dims", [

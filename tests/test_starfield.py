@@ -64,6 +64,14 @@ def test_involution(name):
     run()
 
 
+@given(st.integers(-30, 30), st.integers(1, 8), st.integers(-30, 30),
+       st.integers(1, 8))
+def test_qi_ratio_is_the_reduced_scalar(a, b, c, d):
+    x = QI.ratio(a, b, c, d)
+    assert x == QI.scalar(Fraction(a, b), Fraction(c, d))
+    assert x[2] > 0 and gcd(*x) == 1
+
+
 def test_qi_scalar_layout():
     x = QI.scalar(Fraction(3, 2), Fraction(-1, 4))
     assert x == (6, -1, 4)
