@@ -12,13 +12,13 @@ order is read off the search tree: the product, over the first path,
 of the orbit length of each individualized vertex under the
 automorphisms fixing the ones before it (McKay, "Practical graph
 isomorphism", 1981).  A stabilizer chain (Schreier-Sims) serves the
-induced group, closed by seeded random sifts up to a known order, and
-the oracles, closed deterministically; orders are exact integers.
+induced group, whose natural maps are sifted in before any Schreier
+generator is checked and which stops at a known order, and the
+oracles; orders are exact integers.
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter, defaultdict
 from itertools import chain, permutations
 from math import prod
@@ -81,9 +81,9 @@ def is_automorphism(adjlist, perm, masks=None):
 class StabChain:
     """Schreier-Sims stabilizer chain.
 
-    `add` grows it deterministically one element at a time;
-    `close_known` closes it over a generating set by seeded random
-    sifts, given `known_order`.
+    `add` grows it one element at a time, checking the Schreier
+    generators after each; `close_known` sifts a whole generating set
+    in first and checks them once, given `known_order`.
 
     `orbits[l][x]` holds the inverse u_x^-1 of the transversal element
     u_x that sends base[l] to x, so sifting composes and never inverts.
@@ -155,65 +155,47 @@ class StabChain:
             self.gens[k].append(h)
             self.gens_inv[k].append(h_inv)
 
-    def add(self, g):
-        """Extend the chain with g; returns True when the group grew."""
+    def _sift_in(self, g):
+        """Append g's residue at its level; returns the level, or None
+        when g sifts through."""
         h, l = self.strip(tuple(g))
         if h == self.identity:
-            return False
+            return None
         self._append_gen(h, l)
+        return l
+
+    def add(self, g):
+        """Extend the chain with g; returns True when the group grew."""
+        l = self._sift_in(g)
+        if l is None:
+            return False
         self._close(l)
         return True
 
     def close_known(self, gens):
-        """Close the chain over `gens` by random sifts up to `known_order`.
+        """Close the chain over `gens`, stopping at `known_order`.
 
-        The generators are sifted in first.  Then product replacement
-        with a fixed seed (Celler et al., Comm. Algebra 23, 1995) keeps
-        at least 10 slots, seeded with copies of the generators: each
-        step sets one slot to its product with another, multiplies an
-        accumulator by it and sifts the accumulator; a residue other
-        than the identity joins the chain at its level.  This stops once
-        the order reaches `known_order` (Seress, "Permutation Group
-        Algorithms", 2003, section 4.3).
+        Each generator is sifted in and the orbits its residue reaches
+        are extended; no Schreier generator is checked yet.  Then the
+        deterministic closure runs from the deepest level, and returns
+        at its first check when the order already equals `known_order`.
 
         Every residue is a word in `gens`, so `order()` is a lower bound
         on the order of the group they generate, and `known_order` must
         be an upper bound; equality certifies a complete base and strong
-        generating set.  After 40 sifts in a row that leave the chain as
-        it is, the deterministic closure checks every Schreier generator
-        at every level; the generators are in the chain, so the order it
-        leaves is exact even when `known_order` is not reached.
+        generating set (Seress, "Permutation Group Algorithms", 2003,
+        section 4.3).  Short of it, the closure checks Schreier
+        generators at every level until the order reaches `known_order`
+        or none is left, so the order it leaves is exact.
         """
         if self.known_order is None:
             raise ValueError("close_known needs known_order")
-        gens = [tuple(g) for g in gens] or [self.identity]
         for g in gens:
-            self._sift_in(g)
-        slots = [gens[k % len(gens)] for k in range(max(10, len(gens)))]
-        rng = random.Random(0)
-        acc = self.identity
-        idle = 0
-        while self.order() < self.known_order:
-            if idle == 40:
-                self._close(len(self.base) - 1)
-                return
-            i = rng.randrange(len(slots))
-            j = rng.randrange(len(slots) - 1)
-            j += j >= i
-            slots[i] = compose(slots[i], slots[j])
-            acc = compose(acc, slots[i])
-            idle = 0 if self._sift_in(acc) else idle + 1
-
-    def _sift_in(self, g):
-        """Append g's residue, if any, and extend the orbits it reaches;
-        returns True when the chain grew."""
-        h, l = self.strip(g)
-        if h == self.identity:
-            return False
-        self._append_gen(h, l)
-        for k in range(l + 1):
-            self._extend_orbit(k)
-        return True
+            l = self._sift_in(g)
+            if l is not None:
+                for k in range(l + 1):
+                    self._extend_orbit(k)
+        self._close(len(self.base) - 1)
 
     def _close(self, start):
         """Verify Schreier generators until the chain is consistent.

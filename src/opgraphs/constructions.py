@@ -437,7 +437,7 @@ def induced_subgroup(graph):
             raise ConstructionError(f"{kind} map failed the automorphism check")
     # the natural maps act through GammaU(n,q) x S_d with the scalars
     # trivial, so `induced_order` bounds the group and certifies the
-    # random closure once reached
+    # closure once reached
     want = induced_order(sig)
     chain = StabChain(graph.n, known_order=want)
     chain.close_known(perm for _, _, perm in gens)

@@ -241,18 +241,18 @@ def test_stabchain_matches_bfs_closure(group):
     for g in gens:
         plain.add(g)
         stopped.add(g)
-    # the random closure stops at the true order; at twice the true order
-    # it stalls, and the deterministic closure leaves the exact order
+    # the known-order closure stops at the true order; at twice the true
+    # order it checks every Schreier generator and leaves the exact order
     known = StabChain(n, known_order=len(elements))
     known.close_known(gens)
-    stalled = StabChain(n, known_order=2 * len(elements))
-    stalled.close_known(gens)
+    unreached = StabChain(n, known_order=2 * len(elements))
+    unreached.close_known(gens)
     assert plain.order() == stopped.order() == len(elements)
-    assert known.order() == stalled.order() == len(elements)
+    assert known.order() == unreached.order() == len(elements)
     again = StabChain(n, known_order=len(elements))
     again.close_known(gens)
     assert (again.base, again.generators()) == (known.base, known.generators())
-    for chain in (plain, stopped, known, stalled):
+    for chain in (plain, stopped, known, unreached):
         # orbits hold inverse transversal elements: u_x^-1 sends x to
         # the base point and fixes the earlier base points
         for l, tr in enumerate(chain.orbits):

@@ -358,8 +358,8 @@ def test_induced_order_matches_the_closed_form(
     chain, gens = induced_subgroup(graph)
     assert chain.order() == order
     assert len(gens) == generators
-    # the random closure is seeded; GF(4)^4 needs random sifts past the
-    # natural maps themselves
+    # the closure is deterministic; GF(4)^4 needs a Schreier generator
+    # past the sifted natural maps
     again, _ = induced_subgroup(graph)
     assert (again.base, again.generators()) == (chain.base, chain.generators())
 
