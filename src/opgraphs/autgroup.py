@@ -11,16 +11,18 @@ is verified against the edge set before it is accepted.  The group
 order is read off the search tree: the product, over the first path,
 of the orbit length of each individualized vertex under the
 automorphisms fixing the ones before it (McKay, "Practical graph
-isomorphism", 1981).  A stabilizer chain (Schreier-Sims) serves the
-induced group, whose natural maps are sifted in before any Schreier
-generator is checked and which stops at a known order, and the
-oracles; orders are exact integers.
+isomorphism", 1981).  Known automorphisms are closed into a
+stabilizer chain on the search base, and each level merges the strong
+generators that fix the base points before it.  Stabilizer chains
+(Schreier-Sims) also serve the induced group, whose natural maps are
+sifted in before any Schreier generator is checked and which stops at
+a known order, and the oracles; orders are exact integers.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from itertools import chain, permutations
+from itertools import chain
 from math import prod
 from operator import itemgetter
 
@@ -83,7 +85,7 @@ class StabChain:
 
     `add` grows it one element at a time, checking the Schreier
     generators after each; `close_known` sifts a whole generating set
-    in first and checks them once, given `known_order`.
+    in first and checks them once.
 
     `orbits[l][x]` holds the inverse u_x^-1 of the transversal element
     u_x that sends base[l] to x, so sifting composes and never inverts.
@@ -96,9 +98,12 @@ class StabChain:
     orbit lengths is a lower bound at every stage, so once it reaches
     `known_order` the chain is a complete base and strong generating
     set and closure stops there.
+
+    `base`, when given, presets the first levels in that order; a
+    residue that fixes all of them extends the base as usual.
     """
 
-    def __init__(self, n, known_order=None):
+    def __init__(self, n, known_order=None, base=()):
         self.n = n
         self.identity = identity_perm(n)
         self.known_order = known_order
@@ -107,6 +112,8 @@ class StabChain:
         self.gens_inv = []
         self.orbits = []
         self._done = []
+        for b in base:
+            self._new_level(b)
 
     def order(self):
         out = 1
@@ -141,15 +148,17 @@ class StabChain:
         h, _ = self.strip(tuple(g))
         return h == self.identity
 
+    def _new_level(self, b):
+        self.base.append(b)
+        self.gens.append([])
+        self.gens_inv.append([])
+        self.orbits.append({b: self.identity})
+        self._done.append(set())
+
     def _append_gen(self, h, l):
         """Record h as a generator at levels 0..l, extending the base if needed."""
         if l == len(self.base):
-            moved = min(x for x in range(self.n) if h[x] != x)
-            self.base.append(moved)
-            self.gens.append([])
-            self.gens_inv.append([])
-            self.orbits.append({moved: self.identity})
-            self._done.append(set())
+            self._new_level(min(x for x in range(self.n) if h[x] != x))
         h_inv = inverse(h)
         for k in range(l + 1):
             self.gens[k].append(h)
@@ -173,7 +182,7 @@ class StabChain:
         return True
 
     def close_known(self, gens):
-        """Close the chain over `gens`, stopping at `known_order`.
+        """Close the chain over `gens`, stopping at `known_order` if set.
 
         Each generator is sifted in and the orbits its residue reaches
         are extended; no Schreier generator is checked yet.  Then the
@@ -184,12 +193,11 @@ class StabChain:
         on the order of the group they generate, and `known_order` must
         be an upper bound; equality certifies a complete base and strong
         generating set (Seress, "Permutation Group Algorithms", 2003,
-        section 4.3).  Short of it, the closure checks Schreier
-        generators at every level until the order reaches `known_order`
-        or none is left, so the order it leaves is exact.
+        section 4.3).  Short of it, or without `known_order`, the
+        closure checks Schreier generators at every level until the
+        order reaches `known_order` or none is left, so the order it
+        leaves is exact.
         """
-        if self.known_order is None:
-            raise ValueError("close_known needs known_order")
         for g in gens:
             l = self._sift_in(g)
             if l is not None:
@@ -338,15 +346,19 @@ class AutomorphismGroup:
     `base` is the first path's individualized vertices, so only the
     identity fixes all of them.  `orbit_sizes[d]` is the length of the
     orbit of base[d] under the automorphisms fixing base[:d], and the
-    order is their product (orbit-stabilizer).  `nodes` counts the
-    search nodes used against the budget.
+    order is their product (orbit-stabilizer).  `known_orbit_sizes` are
+    the same lengths for the group the known generators generate.
+    `nodes` counts the search nodes used against the budget.
     """
 
-    __slots__ = ("base", "orbit_sizes", "nodes", "_generators")
+    __slots__ = ("base", "orbit_sizes", "known_orbit_sizes", "nodes",
+                 "_generators")
 
-    def __init__(self, base, orbit_sizes, generators, nodes):
+    def __init__(self, base, orbit_sizes, known_orbit_sizes, generators,
+                 nodes):
         self.base = tuple(base)
         self.orbit_sizes = tuple(orbit_sizes)
+        self.known_orbit_sizes = tuple(known_orbit_sizes)
         self._generators = tuple(generators)
         self.nodes = nodes
 
@@ -357,7 +369,8 @@ class AutomorphismGroup:
         return list(self._generators)
 
 
-def automorphism_group(adjlist, known_generators=(), node_budget=2_000_000):
+def automorphism_group(adjlist, known_generators=(), known_order=None,
+                       node_budget=2_000_000):
     """Generators and exact order of the automorphism group.
 
     The first path (leftmost descent) fixes the base, the first leaf
@@ -369,10 +382,18 @@ def automorphism_group(adjlist, known_generators=(), node_budget=2_000_000):
     above it; a sibling that is not the least vertex of its orbit is
     skipped.  When level d is done, the orbit of base[d] is the whole
     orbit under the stabilizer of base[:d], and the order is the
-    product of these orbit lengths.  Optional known automorphisms are
-    verified, then merged from the deepest level whose base prefix
-    they fix; they come first among the returned generators, which
-    generate the whole group.  Returns an AutomorphismGroup.
+    product of these orbit lengths.
+
+    Optional known automorphisms are verified and closed into a
+    stabilizer chain on the search base, stopping at `known_order` if
+    given (exact Schreier-Sims without it).  Level d merges the chain's
+    strong generators that fix base[:d], so no sibling in the orbit of
+    an earlier one under the known stabilizer is searched.  Every
+    merged element is a product of verified automorphisms fixing
+    base[:d], so a `known_order` below the truth only prunes less and
+    never changes the order.  The known generators come first among
+    the returned ones, which generate the whole group.  Returns an
+    AutomorphismGroup.
     """
     n = len(adjlist)
     adjlist = tuple(tuple(sorted(u)) for u in adjlist)
@@ -398,18 +419,17 @@ def automorphism_group(adjlist, known_generators=(), node_budget=2_000_000):
     base = [min(cell) for _, cell in path]
     first_leaf_inv = inverse(tuple(_leaf_order(colors)))
 
-    def fixed_prefix(g):
-        """How many leading base points g fixes."""
-        for d, b in enumerate(base):
-            if g[b] != b:
-                return d
-        return len(base)
-
     known = [tuple(g) for g in known_generators]
     if not all(is_automorphism(adjlist, g, masks) for g in known):
         raise ValueError("known generator is not an automorphism")
-    # popped deepest first, as the levels finish
-    pending = sorted(known, key=fixed_prefix)
+    # only the identity automorphism fixes the whole base, so the chain
+    # keeps exactly the search's levels; its transversals are dropped,
+    # since the search needs only the strong generators
+    known_chain = StabChain(n, known_order, base=base)
+    known_chain.close_known(known)
+    strong = known_chain.gens
+    known_orbit_sizes = [len(tr) for tr in known_chain.orbits]
+    del known_chain
 
     # orbits of the automorphisms merged so far; each class is rooted
     # at its least vertex
@@ -452,9 +472,13 @@ def automorphism_group(adjlist, known_generators=(), node_budget=2_000_000):
         return False
 
     orbit_sizes = [1] * len(base)
+    merged = set()
     for depth in reversed(range(len(base))):
-        while pending and fixed_prefix(pending[-1]) >= depth:
-            merge(pending.pop())
+        # strong[depth] holds strong[depth + 1]: merge each generator once
+        for g in strong[depth]:
+            if g not in merged:
+                merged.add(g)
+                merge(g)
         colors, cell = path[depth]
         for v in sorted(cell):
             # an orbit's least vertex is visited before the rest of it
@@ -464,20 +488,8 @@ def automorphism_group(adjlist, known_generators=(), node_budget=2_000_000):
             if _partition_shape(child) == first_trace[depth]:
                 subtree_automorphism(child, depth + 1)
         orbit_sizes[depth] = size[find(base[depth])]
-    return AutomorphismGroup(base, orbit_sizes, known + found, nodes)
-
-
-def brute_force_order(adjlist):
-    """Filter all vertex permutations; intended for graphs with <= 8 vertices."""
-    n = len(adjlist)
-    if n > 8:
-        raise ValueError("brute force capped at 8 vertices")
-    masks = adjacency_masks(adjlist)
-    count = 0
-    for p in permutations(range(n)):
-        if is_automorphism(adjlist, p, masks):
-            count += 1
-    return count
+    return AutomorphismGroup(base, orbit_sizes, known_orbit_sizes,
+                             known + found, nodes)
 
 
 def backtracking_order(adjlist):

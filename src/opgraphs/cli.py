@@ -355,23 +355,29 @@ def cmd_automorphisms(args):
     graph = LabeledGraph.build(sig)
     results = {"vertex_count": graph.n,
                "edge_count": sum(map(len, graph.adjacency())) // 2}
-    known = ()
+    known, ind = (), None
     if args.compare_induced:
-        chain_ind, gens = induced_subgroup(graph)
+        chain, gens = induced_subgroup(graph)
+        # keep only the order, so one chain is alive at a time: the
+        # search closes its own on its base
+        ind = chain.order()
+        del chain
         known = [perm for _, _, perm in gens]
-        results["induced_order"] = str(chain_ind.order())
+        results["induced_order"] = str(ind)
         results["induced_order_closed_form"] = str(induced_order(sig))
         results["induced_generator_count"] = len(gens)
         results["induced_generators_verified"] = True
     try:
         group = automorphism_group(
-            graph.adjacency(), known_generators=known, node_budget=args.budget)
+            graph.adjacency(), known_generators=known, known_order=ind,
+            node_budget=args.budget)
     except BudgetExceededError as e:
         return _budget_exhausted(config, results, args, e)
     results["automorphism_order"] = str(group.order())
     results.update(_search_counters(group))
     if args.compare_induced:
-        aut, ind = group.order(), chain_ind.order()
+        aut = group.order()
+        results["known_orbits"] = list(group.known_orbit_sizes)
         results["index_of_induced"] = aut // ind
         results["induced_equals_full"] = aut == ind
     if args.generators_out:

@@ -299,18 +299,6 @@ def petersen_graph():
     return SimpleGraph.from_edges(len(labels), edges, labels)
 
 
-def complete_graph(n):
-    return SimpleGraph.from_edges(n, combinations(range(n), 2))
-
-
-def cycle_graph(n):
-    return SimpleGraph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
-
-
-def path_graph(n):
-    return SimpleGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
-
-
 def pair_complement_map(k):
     """The complement permutation on 2-subsets of a 4-set, as vertex indices."""
     if k != 4:

@@ -330,9 +330,14 @@ def verify_type_action(sig=None, node_budget=2_000_000):
     if sig is not None and sig.field.is_finite:
         graph = LabeledGraph.build(sig)
         chain, gens = induced_subgroup(graph)
+        # keep only the order, so one chain is alive at a time: the
+        # search closes its own on its base
+        induced = chain.order()
+        del chain
         full = automorphism_group(
             graph.adjacency(),
             known_generators=[p for _, _, p in gens],
+            known_order=induced,
             node_budget=node_budget)
         perms = full.generators()
         # the known generators come first, in the order given
@@ -355,7 +360,7 @@ def verify_type_action(sig=None, node_budget=2_000_000):
             })
         report["class_graph"] = {
             "signature": sig.to_json(),
-            "induced_order": str(chain.order()),
+            "induced_order": str(induced),
             "induced_order_closed_form": str(induced_order(sig)),
             "automorphism_order": str(full.order()),
             "generators": label_maps,

@@ -44,10 +44,6 @@ def stable_view(obj):
     return obj
 
 
-def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def render(report):
     return json.dumps(report, sort_keys=True, indent=1) + "\n"
 

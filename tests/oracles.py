@@ -8,10 +8,18 @@ through row-reduced subspaces.  The production paths (the point ids of
 `constructions.projective_points`, `constructions.slot_hyperplanes`,
 `constructions.orbit_class` and the point permutations) are checked
 against them.
+
+`brute_force_order` counts automorphisms over every vertex permutation;
+`complete_graph`, `cycle_graph` and `path_graph` are the small reference
+graphs; `canonical_json` is the compact sorted rendering that report
+digests are taken over.
 """
 
-from itertools import combinations, product
+import json
+from itertools import combinations, permutations, product
 
+from opgraphs.autgroup import adjacency_masks, is_automorphism
+from opgraphs.graphs import SimpleGraph
 from opgraphs.linalg import Subspace, relative_orthocomplement
 
 
@@ -111,3 +119,32 @@ def semilinear_image(flag, M, phi):
         lambda S: S.map_rows(
             lambda row: tuple(M.apply(tuple(phi(x) for x in row)))),
         check=False)
+
+
+def brute_force_order(adjlist):
+    """Filter all vertex permutations; intended for graphs with <= 8 vertices."""
+    n = len(adjlist)
+    if n > 8:
+        raise ValueError("brute force capped at 8 vertices")
+    masks = adjacency_masks(adjlist)
+    count = 0
+    for p in permutations(range(n)):
+        if is_automorphism(adjlist, p, masks):
+            count += 1
+    return count
+
+
+def complete_graph(n):
+    return SimpleGraph.from_edges(n, combinations(range(n), 2))
+
+
+def cycle_graph(n):
+    return SimpleGraph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def path_graph(n):
+    return SimpleGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def canonical_json(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

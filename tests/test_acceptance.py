@@ -14,7 +14,6 @@ import pytest
 from opgraphs.autgroup import (
     automorphism_group,
     backtracking_order,
-    brute_force_order,
     is_automorphism,
 )
 from opgraphs.cli import main
@@ -31,11 +30,8 @@ from opgraphs.counterexamples import (
 from opgraphs.graphs import (
     LabeledGraph,
     classify_type_map,
-    complete_graph,
-    cycle_graph,
     johnson_graph,
     pair_complement_map,
-    path_graph,
     petersen_graph,
 )
 from opgraphs.lemmas import verify_obstruction_lemma, verify_swap_lemma
@@ -53,6 +49,8 @@ from opgraphs.spectral import (
     rank_condition,
 )
 from opgraphs.starfield import QI
+from tests.oracles import (brute_force_order, complete_graph, cycle_graph,
+                           path_graph)
 
 from pathlib import Path
 

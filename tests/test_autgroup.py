@@ -19,7 +19,6 @@ from opgraphs.autgroup import (
     adjacency_masks,
     automorphism_group,
     backtracking_order,
-    brute_force_order,
     compose,
     identity_perm,
     inverse,
@@ -28,13 +27,9 @@ from opgraphs.autgroup import (
     is_automorphism,
     refine_colors,
 )
-from opgraphs.graphs import (
-    complete_graph,
-    cycle_graph,
-    johnson_graph,
-    path_graph,
-    petersen_graph,
-)
+from opgraphs.graphs import johnson_graph, petersen_graph
+from tests.oracles import (brute_force_order, complete_graph, cycle_graph,
+                           path_graph)
 
 
 def perms(n):
@@ -357,3 +352,36 @@ def test_individualize_on_petersen_and_johnson():
 
 def test_individualize_on_the_flagship(flagship_graph):
     check_first_path(flagship_graph.adjacency(), step=7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(colored_graphs(), circulant_graphs()))
+def test_known_group_chain_prunes_without_moving_the_order(graph):
+    adjlist, _ = graph
+    n = len(adjlist)
+    group = automorphism_group(adjlist)
+    want = group.order()
+    if n <= 8:
+        assert want == brute_force_order(adjlist)
+    gens = group.generators()
+    # seeded with the whole group, every level knows its orbits up front
+    seeded = automorphism_group(adjlist, known_generators=gens)
+    assert seeded.order() == want
+    assert seeded.nodes <= group.nodes
+    assert seeded.known_orbit_sizes == seeded.orbit_sizes
+    assert seeded.generators()[:len(gens)] == gens
+    # a known order below the truth stops the closure early and only
+    # prunes less
+    low = automorphism_group(adjlist, known_generators=gens, known_order=1)
+    assert low.order() == want
+    assert low.nodes <= group.nodes
+    # without a known order the closure is exact Schreier-Sims
+    added = StabChain(n)
+    for g in gens:
+        added.add(g)
+    for closed in (StabChain(n), StabChain(n, base=group.base)):
+        closed.close_known(gens)
+        assert closed.order() == added.order() == want
+        assert all(closed.contains(g) for g in added.generators())
+        assert all(added.contains(g) for g in closed.generators())
+    assert closed.base == list(group.base)

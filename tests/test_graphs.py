@@ -11,19 +11,17 @@ from opgraphs.graphs import (
     SimpleGraph,
     TypeMapError,
     classify_type_map,
-    complete_graph,
-    cycle_graph,
     eigenspace_action,
     induced_type_map,
     johnson_graph,
     orthogonality_compatible,
     pair_complement_map,
-    path_graph,
     petersen_graph,
 )
 from opgraphs.spectral import adjacency_slots, enumerate_class
 from opgraphs.starfield import galois_field
 from tests.conftest import signature
+from tests.oracles import complete_graph, cycle_graph, path_graph
 
 
 def test_flagship_graph_shape(flagship_graph):

@@ -9,11 +9,11 @@ from opgraphs.report import (
     EXIT_OK,
     VOLATILE_KEYS,
     build_report,
-    canonical_json,
     render,
     stable_view,
     write_report,
 )
+from tests.oracles import canonical_json
 
 
 def test_exit_codes_are_distinct():
