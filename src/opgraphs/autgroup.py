@@ -11,12 +11,12 @@ is verified against the edge set before it is accepted.  The group
 order is read off the search tree: the product, over the first path,
 of the orbit length of each individualized vertex under the
 automorphisms fixing the ones before it (McKay, "Practical graph
-isomorphism", 1981).  Known automorphisms are closed into a
-stabilizer chain on the search base, and each level merges the strong
-generators that fix the base points before it.  Stabilizer chains
-(Schreier-Sims) also serve the induced group, whose natural maps are
-sifted in before any Schreier generator is checked and which stops at
-a known order, and the oracles; orders are exact integers.
+isomorphism", 1981).  Known automorphisms are sifted into a
+Schreier-Sims chain on the search base, closed up to a known order;
+its orbit lengths give the order they generate, which certifies the
+induced group, and each level merges its strong generators that fix
+the base points before it.  Stabilizer chains also certify isometry
+generators and serve the oracles; orders are exact integers.
 """
 
 from __future__ import annotations
@@ -33,6 +33,14 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, nodes):
         super().__init__(f"automorphism search exceeded {nodes} nodes")
         self.nodes = nodes
+
+
+class NotAnAutomorphismError(ValueError):
+    """Known generator `index` does not preserve the edge set."""
+
+    def __init__(self, index):
+        super().__init__(f"known generator {index} is not an automorphism")
+        self.index = index
 
 
 def identity_perm(n):
@@ -84,8 +92,8 @@ class StabChain:
     """Schreier-Sims stabilizer chain.
 
     `add` grows it one element at a time, checking the Schreier
-    generators after each; `close_known` sifts a whole generating set
-    in first and checks them once.
+    generators after each; `close_known` (the search's known chain)
+    sifts a whole generating set in first and checks them once.
 
     `orbits[l][x]` holds the inverse u_x^-1 of the transversal element
     u_x that sends base[l] to x, so sifting composes and never inverts.
@@ -384,16 +392,16 @@ def automorphism_group(adjlist, known_generators=(), known_order=None,
     orbit under the stabilizer of base[:d], and the order is the
     product of these orbit lengths.
 
-    Optional known automorphisms are verified and closed into a
-    stabilizer chain on the search base, stopping at `known_order` if
-    given (exact Schreier-Sims without it).  Level d merges the chain's
-    strong generators that fix base[:d], so no sibling in the orbit of
-    an earlier one under the known stabilizer is searched.  Every
-    merged element is a product of verified automorphisms fixing
-    base[:d], so a `known_order` below the truth only prunes less and
-    never changes the order.  The known generators come first among
-    the returned ones, which generate the whole group.  Returns an
-    AutomorphismGroup.
+    Optional known automorphisms are verified (NotAnAutomorphismError
+    names the first that fails) and closed into a stabilizer chain on
+    the search base, stopping at `known_order` if given (exact
+    Schreier-Sims without it).  Level d merges the chain's strong
+    generators that fix base[:d], so no sibling in the orbit of an
+    earlier one under the known stabilizer is searched.  Every merged
+    element is a product of verified automorphisms fixing base[:d], so
+    a `known_order` below the truth only prunes less and never changes
+    the order.  The known generators come first among the returned
+    ones, which generate the whole group.  Returns an AutomorphismGroup.
     """
     n = len(adjlist)
     adjlist = tuple(tuple(sorted(u)) for u in adjlist)
@@ -420,8 +428,9 @@ def automorphism_group(adjlist, known_generators=(), known_order=None,
     first_leaf_inv = inverse(tuple(_leaf_order(colors)))
 
     known = [tuple(g) for g in known_generators]
-    if not all(is_automorphism(adjlist, g, masks) for g in known):
-        raise ValueError("known generator is not an automorphism")
+    for i, g in enumerate(known):
+        if not is_automorphism(adjlist, g, masks):
+            raise NotAnAutomorphismError(i)
     # only the identity automorphism fixes the whole base, so the chain
     # keeps exactly the search's levels; its transversals are dropped,
     # since the search needs only the strong generators

@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from math import prod
 
 from .autgroup import BudgetExceededError, automorphism_group
 from .constructions import (class_size, induced_order, induced_subgroup,
@@ -355,34 +356,28 @@ def cmd_automorphisms(args):
     graph = LabeledGraph.build(sig)
     results = {"vertex_count": graph.n,
                "edge_count": sum(map(len, graph.adjacency())) // 2}
-    known, ind = (), None
-    if args.compare_induced:
-        chain, gens = induced_subgroup(graph)
-        # keep only the order, so one chain is alive at a time: the
-        # search closes its own on its base
-        ind = chain.order()
-        del chain
-        known = [perm for _, _, perm in gens]
-        results["induced_order"] = str(ind)
-        results["induced_order_closed_form"] = str(induced_order(sig))
-        results["induced_generator_count"] = len(gens)
-        results["induced_generators_verified"] = True
     try:
-        group = automorphism_group(
-            graph.adjacency(), known_generators=known, known_order=ind,
-            node_budget=args.budget)
+        if args.compare_induced:
+            group, gens = induced_subgroup(graph, node_budget=args.budget)
+        else:
+            group = automorphism_group(graph.adjacency(),
+                                       node_budget=args.budget)
     except BudgetExceededError as e:
         return _budget_exhausted(config, results, args, e)
-    results["automorphism_order"] = str(group.order())
+    aut = group.order()
+    results["automorphism_order"] = str(aut)
     results.update(_search_counters(group))
     if args.compare_induced:
-        aut = group.order()
-        results["known_orbits"] = list(group.known_orbit_sizes)
-        results["index_of_induced"] = aut // ind
-        results["induced_equals_full"] = aut == ind
+        ind = prod(group.known_orbit_sizes)
+        results.update(
+            induced_order=str(ind),
+            induced_order_closed_form=str(induced_order(sig)),
+            induced_generator_count=len(gens),
+            induced_generators_verified=True,
+            known_orbits=list(group.known_orbit_sizes),
+            index_of_induced=aut // ind, induced_equals_full=aut == ind)
     if args.generators_out:
-        save_json(args.generators_out,
-                  group_to_json(group.order(), group.generators()))
+        save_json(args.generators_out, group_to_json(aut, group.generators()))
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(graph_to_dot(graph))

@@ -9,10 +9,10 @@ so a finite class is enumerated as one certified orbit (`orbit_class`)
 and the maps act on vertices by lookup.  A hyperplane of a slot is the
 sorted ids of its points, read off one incidence table per field and
 dimension (`slot_hyperplanes`); the class graph keys its edges on them.
-The subgroup of the graph automorphism group they generate is computed
-exactly and certified against its closed-form order.  The transitive
-action of the isometries, certified by the orbit walk, also reduces the
-pair census of a finite class to one row.  The module also carries the
+The group they generate is closed on the chain of the automorphism
+search they seed and certified against its closed-form order.  The
+isometries' transitive action, certified by the orbit walk, reduces a
+finite class's pair census to one row.  The module also carries the
 two-slot orthocomplement twist, the tilt scan that proposes two-slot
 moves, the independent-pair swap, and the one-sided path obstruction.
 """
@@ -23,8 +23,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import prod
 
-from .autgroup import StabChain, adjacency_masks, is_automorphism
+from .autgroup import NotAnAutomorphismError, StabChain, automorphism_group
 from .linalg import Matrix, Subspace, herm_form, matvec
 from .spectral import (ADJACENT, RANK_ONLY, RANK_OTHER, EigenFlag,
                        SdPermutation, coordinate_flag, enumerate_class,
@@ -268,9 +269,9 @@ def pairs_from_row(n, count):
 class OrbitCensus:
     """Pair counts of a finite class, read off one row and scaled.
 
-    Counts are over unordered pairs, as in `spectral.PairCensus`;
-    `rank_only` holds only the first `limit` rank-only pairs, as indices
-    into `flags`.
+    Counts are over unordered pairs, as in the all-pairs census the
+    tests keep as its oracle; `rank_only` holds only the first `limit`
+    rank-only pairs, as indices into `flags`.
     """
 
     flags: tuple             # the class, as `spectral.enumerate_class` lists it
@@ -291,8 +292,8 @@ class OrbitCensus:
 
 
 def orbit_census(sig, limit=0) -> OrbitCensus:
-    """The counts of `spectral.classify_pairs` on the class `sig`, read
-    off the row of flag 0.
+    """The counts of every pair's `pair_verdict` on the class `sig`,
+    read off the row of flag 0.
 
     Conjugation by an isometry U keeps both readings of adjacency:
     rank(U D U*) = rank D, Img(U D U*) = U Img D, and slots move to
@@ -301,8 +302,8 @@ def orbit_census(sig, limit=0) -> OrbitCensus:
     is the orbit that `enumerate_class` walks and certifies before
     anything is scaled.
 
-    `rank_only` equals `classify_pairs(flags).rank_only[:limit]`: row 0
-    first, then rows 1, 2, ... over v > u while more pairs are wanted.
+    `rank_only` holds the first `limit` rank-only pairs in (u, v) order:
+    row 0 first, then rows 1, 2, ... over v > u while more are wanted.
     """
     flags = enumerate_class(sig)
     n = len(flags)
@@ -421,34 +422,35 @@ def induced_generators(graph):
     return out
 
 
-def induced_subgroup(graph):
-    """Stabilizer chain of the group the natural maps generate.
+def induced_subgroup(graph, node_budget=2_000_000):
+    """The automorphism search seeded with the natural maps, certified.
 
-    Certified on every call: the graph must hold the whole class
-    (`class_size`) and the chain order must equal `induced_order`;
-    otherwise ConstructionError is raised.
+    The graph must hold the whole class (`class_size`), and the order
+    the maps generate, read off the search's chain on them as the
+    product of `known_orbit_sizes`, must equal `induced_order`, which
+    bounds it (GammaU(n,q) x S_d acts with the scalars trivial).
+    Otherwise ConstructionError is raised.  Returns (AutomorphismGroup,
+    labeled generators), the natural maps first among the group's.
     """
     sig = graph.vertices[0].signature
-    adj = graph.adjacency()
-    masks = adjacency_masks(adj)
-    gens = induced_generators(graph)
-    for kind, data, perm in gens:
-        if not is_automorphism(adj, perm, masks):
-            raise ConstructionError(f"{kind} map failed the automorphism check")
-    # the natural maps act through GammaU(n,q) x S_d with the scalars
-    # trivial, so `induced_order` bounds the group and certifies the
-    # closure once reached
-    want = induced_order(sig)
-    chain = StabChain(graph.n, known_order=want)
-    chain.close_known(perm for _, _, perm in gens)
     closed = class_size(sig)
     if graph.n != closed:
         raise ConstructionError(
             f"the graph has {graph.n} vertices, the class {closed}")
-    if chain.order() != want:
+    gens = induced_generators(graph)
+    want = induced_order(sig)
+    try:
+        group = automorphism_group(
+            graph.adjacency(), known_generators=[p for _, _, p in gens],
+            known_order=want, node_budget=node_budget)
+    except NotAnAutomorphismError as e:
         raise ConstructionError(
-            f"the natural maps generate order {chain.order()}, expected {want}")
-    return chain, gens
+            f"{gens[e.index][0]} map failed the automorphism check") from None
+    got = prod(group.known_orbit_sizes)
+    if got != want:
+        raise ConstructionError(
+            f"the natural maps generate order {got}, expected {want}")
+    return group, gens
 
 
 # ---------------------------------------------------------------------------

@@ -349,45 +349,3 @@ def pair_verdict(a: EigenFlag, b: EigenFlag):
     if invariance_condition(a, b):
         return ADJACENT, slots, slots is None
     return RANK_ONLY, slots, slots is not None
-
-
-@dataclass
-class PairCensus:
-    """Dual classification of every unordered pair of a flag list."""
-
-    total: int
-    rank_other: int          # rank of the difference is not 2
-    adjacent_count: int      # rank and invariance conditions both hold
-    rank_only: list          # rank 2 but invariance fails, as index pairs
-    edges: list              # ((u, v), (i, j)) for adjacent pairs
-    mismatches: list         # pairs where conditions and geometry disagree
-
-    @property
-    def rank_only_count(self):
-        return len(self.rank_only)
-
-
-def classify_pairs(flags) -> PairCensus:
-    """Compare the condition-based and geometric adjacency on all pairs.
-
-    Every pair gets both verdicts computed independently; a disagreement
-    lands in `mismatches` (none are expected, the tests assert so).
-    This brute-force census is the test oracle of
-    `constructions.orbit_census`, which reads the same counts off one row.
-    """
-    flags = list(flags)
-    n = len(flags)
-    census = PairCensus(n * (n - 1) // 2, 0, 0, [], [], [])
-    for u, fu in enumerate(flags):
-        for v in range(u + 1, n):
-            kind, slots, mismatch = pair_verdict(fu, flags[v])
-            if kind == RANK_OTHER:
-                census.rank_other += 1
-            elif kind == ADJACENT:
-                census.adjacent_count += 1
-                census.edges.append(((u, v), slots))
-            else:
-                census.rank_only.append((u, v))
-            if mismatch:
-                census.mismatches.append((u, v))
-    return census

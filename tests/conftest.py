@@ -12,12 +12,14 @@ import time
 import pytest
 from hypothesis import settings
 
-from opgraphs.autgroup import automorphism_group
+from opgraphs import constructions
+from opgraphs.autgroup import is_automorphism
 from opgraphs.constructions import induced_subgroup
 from opgraphs.graphs import LabeledGraph
 from opgraphs.lemmas import verify_obstruction_lemma
-from opgraphs.spectral import ClassSignature, classify_pairs, enumerate_class
+from opgraphs.spectral import ClassSignature, enumerate_class
 from opgraphs.starfield import QI, galois_field
+from tests.oracles import classify_pairs
 
 settings.register_profile("suite", deadline=None, max_examples=40)
 settings.load_profile("suite")
@@ -70,11 +72,27 @@ def flagship_graph(flagship_sig):
 
 @pytest.fixture(scope="session")
 def flagship_groups(flagship_graph):
-    """(induced chain, labeled generators, full automorphism group)."""
-    chain_ind, gens = induced_subgroup(flagship_graph)
-    known = [perm for _, _, perm in gens]
-    chain_full = automorphism_group(flagship_graph.adjacency(), known_generators=known)
-    return chain_ind, gens, chain_full
+    """(full automorphism group seeded with the natural maps, labeled
+    natural maps); the induced order is the product of the group's
+    `known_orbit_sizes`."""
+    return induced_subgroup(flagship_graph)
+
+
+@pytest.fixture
+def broken_natural_map(monkeypatch):
+    """`induced_generators` with its first map, an isometry, replaced by
+    the transposition of vertices 0 and 1, which is no automorphism."""
+    real = constructions.induced_generators
+
+    def broken(graph):
+        gens = real(graph)
+        swap = (1, 0, *range(2, graph.n))
+        assert not is_automorphism(graph.adjacency(), swap)
+        kind, data, _ = gens[0]
+        gens[0] = (kind, data, swap)
+        return gens
+
+    monkeypatch.setattr(constructions, "induced_generators", broken)
 
 
 @pytest.fixture(scope="session")

@@ -9,18 +9,22 @@ through row-reduced subspaces.  The production paths (the point ids of
 `constructions.orbit_class` and the point permutations) are checked
 against them.
 
-`brute_force_order` counts automorphisms over every vertex permutation;
-`complete_graph`, `cycle_graph` and `path_graph` are the small reference
-graphs; `canonical_json` is the compact sorted rendering that report
-digests are taken over.
+`classify_pairs` gives both readings of adjacency on every pair of a
+flag list, the census that `constructions.orbit_census` reads off one
+row.  `brute_force_order` counts automorphisms over every vertex
+permutation; `complete_graph`, `cycle_graph` and `path_graph` are the
+small reference graphs; `canonical_json` is the compact sorted
+rendering that report digests are taken over.
 """
 
 import json
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from opgraphs.autgroup import adjacency_masks, is_automorphism
 from opgraphs.graphs import SimpleGraph
 from opgraphs.linalg import Subspace, relative_orthocomplement
+from opgraphs.spectral import ADJACENT, RANK_OTHER, pair_verdict
 
 
 def _require_finite(field):
@@ -119,6 +123,47 @@ def semilinear_image(flag, M, phi):
         lambda S: S.map_rows(
             lambda row: tuple(M.apply(tuple(phi(x) for x in row)))),
         check=False)
+
+
+@dataclass
+class PairCensus:
+    """Dual classification of every unordered pair of a flag list."""
+
+    total: int
+    rank_other: int          # rank of the difference is not 2
+    adjacent_count: int      # rank and invariance conditions both hold
+    rank_only: list          # rank 2 but invariance fails, as index pairs
+    edges: list              # ((u, v), (i, j)) for adjacent pairs
+    mismatches: list         # pairs where conditions and geometry disagree
+
+    @property
+    def rank_only_count(self):
+        return len(self.rank_only)
+
+
+def classify_pairs(flags) -> PairCensus:
+    """Compare the condition-based and geometric adjacency on all pairs.
+
+    Every pair gets both verdicts computed independently; a disagreement
+    lands in `mismatches` (none are expected, the tests assert so).
+    `constructions.orbit_census` reads the same counts off one row.
+    """
+    flags = list(flags)
+    n = len(flags)
+    census = PairCensus(n * (n - 1) // 2, 0, 0, [], [], [])
+    for u, fu in enumerate(flags):
+        for v in range(u + 1, n):
+            kind, slots, mismatch = pair_verdict(fu, flags[v])
+            if kind == RANK_OTHER:
+                census.rank_other += 1
+            elif kind == ADJACENT:
+                census.adjacent_count += 1
+                census.edges.append(((u, v), slots))
+            else:
+                census.rank_only.append((u, v))
+            if mismatch:
+                census.mismatches.append((u, v))
+    return census
 
 
 def brute_force_order(adjlist):

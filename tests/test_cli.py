@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from math import prod
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opgraphs import constructions
+from opgraphs import autgroup, constructions
 from opgraphs.autgroup import StabChain, is_automorphism
 from opgraphs.cli import LEMMAS, _resolve, _signature, build_parser, main
 from opgraphs.graphs import LabeledGraph
@@ -596,6 +597,50 @@ def test_each_class_is_walked_once(capsys, monkeypatch, argv, exit_code, walks):
     code, _ = run(capsys, *argv)
     assert code == exit_code
     assert len(calls) == walks
+
+
+INDUCED_COMMANDS = [
+    ("automorphisms", *FLAGSHIP_INDUCED),
+    ("verify-lemma", "--fixture", str(FIXTURES / "flagship.json"),
+     "--lemma", "johnson-tau"),
+]
+INDUCED_IDS = ["flagship compare-induced", "johnson-tau"]
+
+
+@pytest.mark.parametrize("argv", INDUCED_COMMANDS, ids=INDUCED_IDS)
+def test_the_natural_maps_are_verified_and_closed_once(capsys, monkeypatch,
+                                                       argv):
+    # only the seeded search verifies the natural maps (against its
+    # masks) and closes them (into its chain on the class's vertices)
+    n = 378
+    chains, masks = [], []
+    init, real_masks = autgroup.StabChain.__init__, autgroup.adjacency_masks
+
+    def counted_init(self, points, *args, **kwargs):
+        chains.append(points)
+        init(self, points, *args, **kwargs)
+
+    def counted_masks(adjlist):
+        masks.append(len(adjlist))
+        return real_masks(adjlist)
+
+    monkeypatch.setattr(autgroup.StabChain, "__init__", counted_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("opgraphs.") and hasattr(module, "adjacency_masks"):
+            monkeypatch.setattr(module, "adjacency_masks", counted_masks)
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert chains.count(n) == 1
+    assert masks.count(n) == 1
+
+
+@pytest.mark.parametrize("argv", INDUCED_COMMANDS, ids=INDUCED_IDS)
+def test_a_broken_natural_map_ends_in_one_error_report(
+        capsys, broken_natural_map, argv):
+    code, rep = run(capsys, *argv)
+    assert code == 1
+    assert rep["results"] == {
+        "error": "ConstructionError: isometry map failed the automorphism check"}
 
 
 # An argv grammar for the fuzz below: a well-formed command line, with

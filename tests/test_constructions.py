@@ -6,6 +6,7 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import islice, permutations
+from math import prod
 from random import Random
 
 import pytest
@@ -16,6 +17,7 @@ from opgraphs.constructions import (
     ConstructionError,
     chow_image,
     chow_vertex_map,
+    induced_generators,
     induced_order,
     induced_subgroup,
     is_isometry,
@@ -40,12 +42,11 @@ from opgraphs.graphs import LabeledGraph
 from opgraphs.lemmas import _rotated_pair_flag
 from opgraphs.linalg import Matrix, Subspace
 from opgraphs.spectral import (EigenFlag, SdPermutation, adjacency_slots,
-                               classify_pairs, coordinate_flag,
-                               enumerate_class)
+                               coordinate_flag, enumerate_class)
 from opgraphs.starfield import QI, galois_field
 from tests.conftest import signature
-from tests.oracles import (gaussian_binomial, semilinear_image, subspaces,
-                           subspaces_within)
+from tests.oracles import (classify_pairs, gaussian_binomial,
+                           semilinear_image, subspaces, subspaces_within)
 
 GEN_ROWS_U3_GF9 = (
     ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
@@ -322,56 +323,80 @@ def test_sd_group_bookkeeping():
 
 
 def test_induced_generator_inventory(flagship_graph, flagship_groups):
-    chain_ind, gens, _ = flagship_groups
+    group, gens = flagship_groups
     kinds = [kind for kind, _, _ in gens]
     assert kinds.count("isometry") == 7
     assert kinds.count("field-automorphism") == 1
     assert kinds.count("slot-permutation") == 2
     assert len(gens) == 10
-    for _, _, perm in gens:
+    perms = [perm for _, _, perm in gens]
+    for perm in perms:
         assert is_automorphism(flagship_graph.adjacency(), perm)
-        assert chain_ind.contains(perm)
-    assert chain_ind.order() == 72576
+    # the search's generators start with the natural maps, and its chain
+    # on them reaches the closed form
+    assert group.generators()[:10] == perms
+    assert prod(group.known_orbit_sizes) == 72576
 
 
 def test_induced_generators_take_every_galois_map(flagship_groups, f9):
-    _, gens, _ = flagship_groups
+    _, gens = flagship_groups
     names = [data for kind, data, _ in gens if kind == "field-automorphism"]
     assert names == [phi.name for phi in f9.automorphisms()[1:]] == ["frob^1"]
 
 
-@pytest.mark.parametrize("p, e, sigma, dims, order, generators", [
-    (3, 1, ("0", "1", "2"), (1, 1, 1), 72576, 10),
-    (3, 1, ("0", "1"), (1, 2), 12096, 8),
-    (2, 1, ("0", "1"), (1, 2), 432, 6),
-    (2, 1, ("0", "1"), (1, 3), 51840, 7),
-    (2, 1, ("0", "1"), (2, 2), 103680, 8),
-    (2, 2, ("0", "2"), (1, 2), 249600, 8),
-    (2, 2, ("0", "1", "2"), (1, 1, 1), 1497600, 10),
+def natural_closure(graph, base=()):
+    """The natural maps closed by `close_known` up to `induced_order`, as
+    the seeded search closes them on its base.  On K208 (GF(16)^3 dims
+    (1,2)) the seeded search walks 20720 nodes, so the tests close the
+    maps this way there instead of calling `induced_subgroup`."""
+    gens = induced_generators(graph)
+    chain = StabChain(graph.n, induced_order(graph.vertices[0].signature),
+                      base=base)
+    chain.close_known(perm for _, _, perm in gens)
+    return chain, gens
+
+
+@pytest.mark.parametrize("p, e, sigma, dims, order, generators, search", [
+    (3, 1, ("0", "1", "2"), (1, 1, 1), 72576, 10, True),
+    (3, 1, ("0", "1"), (1, 2), 12096, 8, True),
+    (2, 1, ("0", "1"), (1, 2), 432, 6, True),
+    (2, 1, ("0", "1"), (1, 3), 51840, 7, True),
+    (2, 1, ("0", "1"), (2, 2), 103680, 8, True),
+    (2, 2, ("0", "2"), (1, 2), 249600, 8, False),
+    (2, 2, ("0", "1", "2"), (1, 1, 1), 1497600, 10, True),
 ], ids=["GF(9)^3 1,1,1", "GF(9)^3 1,2", "GF(4)^3 1,2", "GF(4)^4 1,3",
         "GF(4)^4 2,2", "GF(16)^3 1,2", "GF(16)^3 1,1,1"])
 def test_induced_order_matches_the_closed_form(
-        p, e, sigma, dims, order, generators):
+        p, e, sigma, dims, order, generators, search):
     sig = signature(galois_field(p, e), sigma, dims)
     assert induced_order(sig) == order
     graph = LabeledGraph.build(sig)
-    chain, gens = induced_subgroup(graph)
-    assert chain.order() == order
+    if search:
+        group, gens = induced_subgroup(graph)
+        assert prod(group.known_orbit_sizes) == order
+    else:
+        chain, gens = natural_closure(graph)
+        assert all(is_automorphism(graph.adjacency(), perm)
+                   for _, _, perm in gens)
+        assert chain.order() == order
     assert len(gens) == generators
-    # the closure is deterministic; GF(4)^4 needs a Schreier generator
-    # past the sifted natural maps
-    again, _ = induced_subgroup(graph)
-    assert (again.base, again.generators()) == (chain.base, chain.generators())
 
 
-@pytest.mark.parametrize("p, e, sigma, dims", [
-    (3, 1, ("0", "1", "2"), (1, 1, 1)),
-    (2, 1, ("0", "1"), (2, 2)),
-    (2, 2, ("0", "2"), (1, 2)),
+@pytest.mark.parametrize("p, e, sigma, dims, search", [
+    (3, 1, ("0", "1", "2"), (1, 1, 1), True),
+    (2, 1, ("0", "1"), (2, 2), True),
+    (2, 2, ("0", "2"), (1, 2), False),
 ], ids=["GF(9)^3 1,1,1", "GF(4)^4 2,2", "GF(16)^3 1,2"])
-def test_known_order_stop_matches_the_full_closure(p, e, sigma, dims):
+def test_known_order_stop_matches_the_full_closure(p, e, sigma, dims, search):
     graph = LabeledGraph.build(signature(galois_field(p, e), sigma, dims))
-    chain, gens = induced_subgroup(graph)
+    base = ()
+    if search:
+        group, _ = induced_subgroup(graph)
+        base = group.base
+    chain, gens = natural_closure(graph, base)
+    if search:
+        # the chain the seeded search closed on its base
+        assert tuple(map(len, chain.orbits)) == group.known_orbit_sizes
     full = StabChain(graph.n)
     for _, _, perm in gens:
         full.add(perm)
@@ -390,6 +415,15 @@ def test_induced_subgroup_refuses_to_certify(
     monkeypatch.setattr(constructions, attribute, value)
     with pytest.raises(ConstructionError, match=message):
         induced_subgroup(grassmann_graph)
+
+
+def test_induced_subgroup_refuses_a_broken_natural_map(
+        flagship_graph, broken_natural_map):
+    # the grassmann graph is complete, so every permutation is an
+    # automorphism there
+    with pytest.raises(ConstructionError,
+                       match="isometry map failed the automorphism check"):
+        induced_subgroup(flagship_graph)
 
 
 def test_chow_image_twists_the_second_slot():
