@@ -27,20 +27,16 @@ from math import prod
 from operator import itemgetter
 
 
+# the default search tree node budget
+NODE_BUDGET = 2_000_000
+
+
 class BudgetExceededError(RuntimeError):
     """The search tree outgrew the node budget; `nodes` were searched."""
 
     def __init__(self, nodes):
         super().__init__(f"automorphism search exceeded {nodes} nodes")
         self.nodes = nodes
-
-
-class NotAnAutomorphismError(ValueError):
-    """Known generator `index` does not preserve the edge set."""
-
-    def __init__(self, index):
-        super().__init__(f"known generator {index} is not an automorphism")
-        self.index = index
 
 
 def identity_perm(n):
@@ -378,7 +374,7 @@ class AutomorphismGroup:
 
 
 def automorphism_group(adjlist, known_generators=(), known_order=None,
-                       node_budget=2_000_000):
+                       node_budget=NODE_BUDGET):
     """Generators and exact order of the automorphism group.
 
     The first path (leftmost descent) fixes the base, the first leaf
@@ -392,16 +388,16 @@ def automorphism_group(adjlist, known_generators=(), known_order=None,
     orbit under the stabilizer of base[:d], and the order is the
     product of these orbit lengths.
 
-    Optional known automorphisms are verified (NotAnAutomorphismError
-    names the first that fails) and closed into a stabilizer chain on
-    the search base, stopping at `known_order` if given (exact
-    Schreier-Sims without it).  Level d merges the chain's strong
-    generators that fix base[:d], so no sibling in the orbit of an
-    earlier one under the known stabilizer is searched.  Every merged
-    element is a product of verified automorphisms fixing base[:d], so
-    a `known_order` below the truth only prunes less and never changes
-    the order.  The known generators come first among the returned
-    ones, which generate the whole group.  Returns an AutomorphismGroup.
+    Optional known automorphisms are verified and closed into a
+    stabilizer chain on the search base, stopping at `known_order` if
+    given (exact Schreier-Sims without it).  Level d merges the chain's
+    strong generators that fix base[:d], so no sibling in the orbit of
+    an earlier one under the known stabilizer is searched.  Every
+    merged element is a product of verified automorphisms fixing
+    base[:d], so a `known_order` below the truth only prunes less and
+    never changes the order.  The known generators come first among
+    the returned ones, which generate the whole group.  Returns an
+    AutomorphismGroup.
     """
     n = len(adjlist)
     adjlist = tuple(tuple(sorted(u)) for u in adjlist)
@@ -428,9 +424,8 @@ def automorphism_group(adjlist, known_generators=(), known_order=None,
     first_leaf_inv = inverse(tuple(_leaf_order(colors)))
 
     known = [tuple(g) for g in known_generators]
-    for i, g in enumerate(known):
-        if not is_automorphism(adjlist, g, masks):
-            raise NotAnAutomorphismError(i)
+    if not all(is_automorphism(adjlist, g, masks) for g in known):
+        raise ValueError("known generator is not an automorphism")
     # only the identity automorphism fixes the whole base, so the chain
     # keeps exactly the search's levels; its transversals are dropped,
     # since the search needs only the strong generators

@@ -17,7 +17,7 @@ import time
 from contextlib import contextmanager
 from math import prod
 
-from .autgroup import BudgetExceededError, automorphism_group
+from .autgroup import NODE_BUDGET, BudgetExceededError, automorphism_group
 from .constructions import (class_size, induced_order, induced_subgroup,
                             orbit_census)
 from .counterexamples import (SearchBudgetError, census_certificates,
@@ -536,7 +536,7 @@ def build_parser():
     p.add_argument("--n", type=_at_least(2), default=4,
                    help="johnson parameter")
     p.add_argument("--compare-induced", action="store_true")
-    p.add_argument("--budget", type=_at_least(1), default=2_000_000,
+    p.add_argument("--budget", type=_at_least(1), default=NODE_BUDGET,
                    help="search tree node budget")
     p.add_argument("--generators-out", help="write the group JSON here")
     p.add_argument("--dot", help="write DOT here")
@@ -549,7 +549,7 @@ def build_parser():
                    help="sampled instances on infinite backends")
     p.add_argument("--i", type=int)
     p.add_argument("--j", type=int)
-    p.add_argument("--budget", type=_at_least(1), default=2_000_000,
+    p.add_argument("--budget", type=_at_least(1), default=NODE_BUDGET,
                    help="search tree node budget")
     p.set_defaults(run=cmd_verify_lemma)
 

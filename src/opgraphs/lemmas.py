@@ -22,7 +22,8 @@ from .constructions import (ConstructionError, class_size, induced_order,
                             reverse_middle_flags, swap_flag, tilts)
 from .graphs import (LabeledGraph, TypeMapError, classify_type_map,
                      induced_type_map, johnson_graph, pair_complement_map)
-from .autgroup import automorphism_group, backtracking_order, is_automorphism
+from .autgroup import (NODE_BUDGET, automorphism_group, backtracking_order,
+                       is_automorphism)
 from .linalg import Subspace, relative_orthocomplement
 from .sampling import random_flag, random_vector
 from .spectral import (ClassSignature, EigenFlag, adjacency_slots, adjacent,
@@ -301,7 +302,7 @@ def verify_obstruction_lemma(sig):
 # automorphisms act on edge labels
 
 
-def verify_type_action(sig=None, node_budget=2_000_000):
+def verify_type_action(sig=None, node_budget=NODE_BUDGET):
     """Every automorphism moves edge labels coherently.
 
     Reference side: the pair graphs J(k,2) have the expected

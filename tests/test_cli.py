@@ -640,7 +640,7 @@ def test_a_broken_natural_map_ends_in_one_error_report(
     code, rep = run(capsys, *argv)
     assert code == 1
     assert rep["results"] == {
-        "error": "ConstructionError: isometry map failed the automorphism check"}
+        "error": "ValueError: known generator is not an automorphism"}
 
 
 # An argv grammar for the fuzz below: a well-formed command line, with
