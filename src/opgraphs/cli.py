@@ -373,7 +373,6 @@ def cmd_automorphisms(args):
             induced_order=str(ind),
             induced_order_closed_form=str(induced_order(sig)),
             induced_generator_count=len(gens),
-            induced_generators_verified=True,
             known_orbits=list(group.known_orbit_sizes),
             index_of_induced=aut // ind, induced_equals_full=aut == ind)
     if args.generators_out:

@@ -6,7 +6,9 @@ every slot, and the dimension-preserving slot permutations.  Over a
 finite field each semilinear map is one permutation of the points of
 PG(n-1, q^2), and a flag is the tuple of its slots' sorted point ids,
 so a finite class is enumerated as one certified orbit (`orbit_class`)
-and the maps act on vertices by lookup.  A hyperplane of a slot is the
+and the maps act on vertices by lookup.  The isometry generators are
+certified on the same points (`unitary_generators`), modulo the norm-one
+scalars, which fix every subspace.  A hyperplane of a slot is the
 sorted ids of its points, read off one incidence table per field and
 dimension (`slot_hyperplanes`); the class graph keys its edges on them.
 The group they generate is closed on the chain of the automorphism
@@ -78,23 +80,22 @@ def unitary_group(field, n):
 
 @lru_cache(maxsize=None)
 def unitary_generators(field, n):
-    """A small deterministic generating set: the isometries in row order
-    that enlarge the group generated so far, certified against
-    |U(n,q)|."""
-    isometries = unitary_group(field, n)
-    # the norm-one vectors include the standard basis, so the action on
-    # them is faithful
-    points = _norm_one_vectors(field, n)
-    index = {v: i for i, v in enumerate(points)}
-    target = unitary_order(field.q, n)
-    # below the target the chain closes fully, so `add` reports growth
-    # exactly as without the stop
-    chain = StabChain(len(points), known_order=target)
+    """A small deterministic generating set of U(n,q) modulo its norm-one
+    scalars: the isometries in row order that enlarge the group they
+    induce on the points of PG(n-1, q^2), certified against |PU(n,q)|.
+    The scalars fix every subspace, so the classes use nothing more."""
+    rows, ids = projective_points(field, n)
+    # the kernel of the point action is exactly the q+1 norm-one
+    # scalars, so the isometries induce at most |PU(n,q)|; below it the
+    # chain closes fully, so `add` reports growth exactly as without
+    # the stop
+    target = unitary_order(field.q, n) // (field.q + 1)
+    chain = StabChain(len(rows), known_order=target)
     # the isometries share rows: row r gives coordinate r · v of each image
-    column = lru_cache(maxsize=None)(lambda r: matvec(field, points, r))
+    column = lru_cache(maxsize=None)(lambda r: matvec(field, rows, r))
     gens = []
-    for M in isometries:
-        if chain.add(tuple(index[v] for v in zip(*map(column, M.rows)))):
+    for M in unitary_group(field, n):
+        if chain.add(tuple(ids[w] for w in zip(*map(column, M.rows)))):
             gens.append(M)
             if chain.order() == target:
                 return tuple(gens)
@@ -122,11 +123,14 @@ def projective_points(field, n):
     """The points of PG(n-1, q^2): the normalised vectors of field^n
     (first nonzero coordinate one), which are the rref rows of the
     lines, in increasing order, so a line's point id sorts like its row.
-    Returns (rows, index), index[row] the id."""
-    zero, one = field.zero, field.one
+    Returns (rows, ids): ids[v] is the id of the line through v, for
+    every nonzero vector v of field^n."""
+    zero, one, mul = field.zero, field.one, field.mul
     rows = tuple(sorted((zero,) * p + (one,) + tail for p in range(n)
                         for tail in product(field.elements(), repeat=n - 1 - p)))
-    return rows, {v: i for i, v in enumerate(rows)}
+    units = [c for c in field.elements() if c != zero]
+    return rows, {tuple(mul(c, x) for x in v): i
+                  for i, v in enumerate(rows) for c in units}
 
 
 @lru_cache(maxsize=None)
@@ -144,19 +148,11 @@ def point_permutation(field, M: Matrix, phi):
     """The point ids moved by x -> M phi(x), as a tuple: point i goes to
     the result's entry i.  Raises ConstructionError when a point maps to
     zero, that is when M is singular."""
-    rows, index = projective_points(field, M.ncols)
-    zero, one = field.zero, field.one
-    out = []
-    for v in rows:
-        w = M.apply(tuple(map(phi, v)))
-        lead = next((x for x in w if x != zero), None)
-        if lead is None:
-            raise ConstructionError(f"{M!r} sends a point to zero")
-        if lead != one:
-            c = field.inv(lead)
-            w = tuple(field.mul(c, x) for x in w)
-        out.append(index[w])
-    return tuple(out)
+    rows, ids = projective_points(field, M.ncols)
+    try:
+        return tuple(ids[M.apply(tuple(map(phi, v)))] for v in rows)
+    except KeyError:
+        raise ConstructionError(f"{M!r} sends a point to zero") from None
 
 
 def _isometries(field, n):

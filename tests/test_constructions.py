@@ -5,7 +5,7 @@ independent-pair swap, and the one-sided path obstruction."""
 import hashlib
 import json
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 from math import prod
 from random import Random
 
@@ -52,8 +52,6 @@ GEN_ROWS_U3_GF9 = (
     ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
     ((0, 0, 1), (0, 1, 0), (2, 0, 0)),
     ((0, 0, 1), (0, 1, 0), (3, 0, 0)),
-    ((0, 0, 1), (0, 2, 0), (1, 0, 0)),
-    ((0, 0, 1), (0, 3, 0), (1, 0, 0)),
     ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
     ((0, 0, 1), (4, 4, 0), (4, 8, 0)),
 )
@@ -61,7 +59,6 @@ GEN_ROWS_U3_GF9 = (
 GEN_ROWS_U3_GF4 = (
     ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
     ((0, 0, 1), (0, 1, 0), (2, 0, 0)),
-    ((0, 0, 1), (0, 2, 0), (1, 0, 0)),
     ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
     ((1, 1, 1), (1, 2, 3), (1, 3, 2)),
 )
@@ -176,11 +173,56 @@ def _shear(f9):
 
 
 def test_projective_points_are_sorted_rref_rows(f9):
-    rows, index = projective_points(f9, 3)
+    rows, ids = projective_points(f9, 3)
     assert len(rows) == 91 == gaussian_binomial(3, 1, 9)
     assert list(rows) == sorted(rows)
     assert all(Subspace.line(f9, v).rows == (v,) for v in rows)
-    assert all(index[v] == i for i, v in enumerate(rows))
+    assert all(ids[v] == i for i, v in enumerate(rows))
+    # the table names every nonzero vector by the row of its line
+    nonzero = [w for w in product(f9.elements(), repeat=3) if any(w)]
+    assert len(nonzero) == len(ids) == 728
+    assert all(rows[ids[w]] == Subspace.line(f9, w).rows[0] for w in nonzero)
+    units = [c for c in f9.elements() if c != f9.zero]
+    assert all(ids[tuple(f9.mul(c, x) for x in v)] == i
+               for i, v in enumerate(rows) for c in units)
+
+
+def test_isometry_scan_certifies_on_projective_points(f9, monkeypatch):
+    chains = []
+
+    class Recording(StabChain):
+        def __init__(self, n, known_order=None, base=()):
+            chains.append((n, known_order))
+            super().__init__(n, known_order, base)
+
+    monkeypatch.setattr(constructions, "StabChain", Recording)
+    unitary_generators.cache_clear()
+    try:
+        unitary_generators(f9, 3)
+        unitary_generators(galois_field(2, 1), 4)
+    finally:
+        unitary_generators.cache_clear()
+    # |PU(3,3)| = 24192 / 4 and |PU(4,2)| = 77760 / 3 on the points of
+    # PG(2, 9) and PG(3, 4), not on the 252 and 120 norm-one vectors
+    assert chains == [(91, 6048), (85, 25920)]
+
+
+def test_isometry_scan_refuses_a_subgroup(f9, monkeypatch):
+    full = constructions.unitary_group
+
+    def monomial(field, n):
+        return (M for M in full(field, n)
+                if all(sum(x != field.zero for x in r) == 1 for r in M.rows))
+
+    monkeypatch.setattr(constructions, "unitary_group", monomial)
+    unitary_generators.cache_clear()
+    try:
+        # 3! * 4^3 monomial isometries, 96 modulo the 4 norm-one scalars
+        with pytest.raises(ConstructionError,
+                           match="^isometries generate order 96, expected 6048$"):
+            unitary_generators(f9, 3)
+    finally:
+        unitary_generators.cache_clear()
 
 
 @pytest.mark.parametrize("p, e, n", [(3, 1, 3), (2, 1, 4), (2, 2, 3)],
@@ -325,16 +367,16 @@ def test_sd_group_bookkeeping():
 def test_induced_generator_inventory(flagship_graph, flagship_groups):
     group, gens = flagship_groups
     kinds = [kind for kind, _, _ in gens]
-    assert kinds.count("isometry") == 7
+    assert kinds.count("isometry") == 5
     assert kinds.count("field-automorphism") == 1
     assert kinds.count("slot-permutation") == 2
-    assert len(gens) == 10
+    assert len(gens) == 8
     perms = [perm for _, _, perm in gens]
     for perm in perms:
         assert is_automorphism(flagship_graph.adjacency(), perm)
     # the search's generators start with the natural maps, and its chain
     # on them reaches the closed form
-    assert group.generators()[:10] == perms
+    assert group.generators()[:8] == perms
     assert prod(group.known_orbit_sizes) == 72576
 
 
@@ -357,13 +399,13 @@ def natural_closure(graph, base=()):
 
 
 @pytest.mark.parametrize("p, e, sigma, dims, order, generators, search", [
-    (3, 1, ("0", "1", "2"), (1, 1, 1), 72576, 10, True),
-    (3, 1, ("0", "1"), (1, 2), 12096, 8, True),
-    (2, 1, ("0", "1"), (1, 2), 432, 6, True),
+    (3, 1, ("0", "1", "2"), (1, 1, 1), 72576, 8, True),
+    (3, 1, ("0", "1"), (1, 2), 12096, 6, True),
+    (2, 1, ("0", "1"), (1, 2), 432, 5, True),
     (2, 1, ("0", "1"), (1, 3), 51840, 7, True),
     (2, 1, ("0", "1"), (2, 2), 103680, 8, True),
-    (2, 2, ("0", "2"), (1, 2), 249600, 8, False),
-    (2, 2, ("0", "1", "2"), (1, 1, 1), 1497600, 10, True),
+    (2, 2, ("0", "2"), (1, 2), 249600, 7, False),
+    (2, 2, ("0", "1", "2"), (1, 1, 1), 1497600, 9, True),
 ], ids=["GF(9)^3 1,1,1", "GF(9)^3 1,2", "GF(4)^3 1,2", "GF(4)^4 1,3",
         "GF(4)^4 2,2", "GF(16)^3 1,2", "GF(16)^3 1,1,1"])
 def test_induced_order_matches_the_closed_form(
