@@ -166,8 +166,8 @@ def _check_slots(sig, *slots):
         raise CliError(f"slot indices must be distinct, got {given}")
 
 
-def _refuse_slots(args, user, *names):
-    """A slot option the command does not read is a usage error."""
+def _refuse(args, user, *names):
+    """An option the command does not read is a usage error."""
     for name in names:
         if getattr(args, name) is not None:
             raise CliError(f"{user} takes no --{name}")
@@ -250,11 +250,11 @@ def cmd_components(args):
         j = 2 if args.j is None else args.j
         _check_contraction(sig, i, j)
     elif args.type == "ibar":
-        _refuse_slots(args, "components --type ibar", "j")
+        _refuse(args, "components --type ibar", "j")
         i = 2 if args.i is None else args.i
         _check_slots(sig, i)
     else:
-        _refuse_slots(args, "components --type global", "i", "j")
+        _refuse(args, "components --type global", "i", "j")
     graph = LabeledGraph.build(sig)
     config["type"] = args.type
     code = EXIT_OK
@@ -322,14 +322,18 @@ def _budget_exhausted(config, results, args, e):
 
 def cmd_automorphisms(args):
     code = EXIT_OK
+    if args.graph != "johnson":
+        _refuse(args, f"automorphisms --graph {args.graph}", "n")
     if args.graph in ("petersen", "johnson"):
         if args.compare_induced:
             raise CliError("--compare-induced needs --graph class")
+        _refuse(args, f"automorphisms --graph {args.graph}", "backend", "p",
+                "e", "sigma", "dims", "fixture", "seed")
         if args.graph == "petersen":
             g = petersen_graph()
             config = {"graph": "petersen"}
         else:
-            n = args.n
+            n = 4 if args.n is None else args.n
             g = johnson_graph(n)
             config = {"graph": "johnson", "n": n}
         try:
@@ -387,7 +391,7 @@ def cmd_verify_lemma(args):
     field, sigma_tokens, dims, seed, config = _resolve(args)
     config["lemma"] = args.lemma
     if args.lemma != "lift":
-        _refuse_slots(args, f"verify-lemma --lemma {args.lemma}", "i", "j")
+        _refuse(args, f"verify-lemma --lemma {args.lemma}", "i", "j")
     if args.lemma == "a1a2-equiv":
         sig = _signature(field, sigma_tokens, dims)
         results = verify_move_equivalence(sig, samples=args.samples, seed=seed)
@@ -515,9 +519,9 @@ def build_parser():
     p.set_defaults(run=cmd_enumerate)
 
     p = subs.add_parser("adjacency", help="classify one pair of flags")
-    _add_common(p)
     p.add_argument("--pair-file", required=True,
                    help="pair JSON (see serialize.save_pair)")
+    p.add_argument("--out", help="also write the report here")
     p.set_defaults(run=cmd_adjacency)
 
     p = subs.add_parser("components", help="component partitions")
@@ -532,8 +536,8 @@ def build_parser():
     _add_common(p)
     p.add_argument("--graph", choices=("class", "petersen", "johnson"),
                    default="class")
-    p.add_argument("--n", type=_at_least(2), default=4,
-                   help="johnson parameter")
+    p.add_argument("--n", type=_at_least(2),
+                   help="johnson parameter (default 4)")
     p.add_argument("--compare-induced", action="store_true")
     p.add_argument("--budget", type=_at_least(1), default=NODE_BUDGET,
                    help="search tree node budget")

@@ -352,8 +352,8 @@ def semilinear_vertex_map(graph, M: Matrix, phi):
 
 def slot_permutation_vertex_map(graph, delta: SdPermutation):
     """Vertex permutation from a dimension-preserving slot relabeling:
-    slot i of the image is the old slot delta(i), as in
-    `EigenFlag.permute_slots`."""
+    slot i of the image is the old slot delta(i), as in the oracle
+    `permute_slots` of `tests/oracles.py`."""
     delta.validate_for(graph.vertices[0].signature)
     return _form_perm(graph, lambda form: tuple(map(form.__getitem__, delta.images)))
 
@@ -466,28 +466,6 @@ def chow_image(flag: EigenFlag, M: Matrix) -> EigenFlag:
         raise ConstructionError("mapped first slot is degenerate")
     # `move` gives None only when the image is the old first slot
     return flag.move(0, 1, img) or flag
-
-
-def chow_vertex_map(graph, M: Matrix):
-    """The twist as a vertex permutation, with a non-slotwise witness.
-
-    Returns (perm, witness) where witness is a vertex at which the
-    twisted second slot differs from the slotwise image of the old
-    second slot, or None when the twist coincides with the slotwise
-    map everywhere (which happens exactly when M respects
-    orthogonality on the class).
-    """
-    perm = tuple(graph.index.get(chow_image(flag, M).key())
-                 for flag in graph.vertices)
-    if None in perm:
-        raise ConstructionError("an image is not a flag of the class")
-    if len(set(perm)) != len(perm):
-        raise ConstructionError("twist is not injective on the class")
-    witness = next(
-        (v for v, flag in enumerate(graph.vertices)
-         if flag.spaces[1].map_rows(lambda r: tuple(M.apply(r)))
-         != graph.vertices[perm[v]].spaces[1]), None)
-    return perm, witness
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ the pair of moved slots as its label.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations
 
 from .constructions import orbit_class, projective_points, slot_hyperplanes
@@ -18,10 +17,6 @@ from .spectral import contract
 
 class TypeMapError(RuntimeError):
     """A vertex permutation does not act coherently on edge labels."""
-
-
-class BlockMapError(RuntimeError):
-    """A vertex permutation does not act coherently on eigenspace blocks."""
 
 
 class LabeledGraph:
@@ -89,9 +84,6 @@ class LabeledGraph:
             self._adjlist = tuple(tuple(sorted(w for w in x if w != v))
                                   for v, x in enumerate(nbrs))
         return self._adjlist
-
-    def degree_histogram(self):
-        return Counter(len(nbrs) for nbrs in self.adjacency())
 
     def label(self, u, v):
         """The slot pair of the edge {u, v}, or None for a non-edge."""
@@ -211,42 +203,6 @@ def classify_type_map(tau, k):
     return ("other", None)
 
 
-def eigenspace_action(graph, perm, i, target):
-    """The map on slot-i spaces carried by a vertex permutation.
-
-    When the permutation sends every vertex with slot-i space S to a
-    vertex whose slot-`target` space depends only on S, it induces a
-    well-defined bijection on the eigenspace blocks; that map is
-    returned as a dict.  Raises BlockMapError when the image space
-    varies inside one block.
-    """
-    blocks = graph.eigenspace_blocks(i)
-    mapping = {}
-    for space, verts in blocks.items():
-        images = {graph.vertices[perm[v]].spaces[target] for v in verts}
-        if len(images) != 1:
-            raise BlockMapError(
-                f"slot {i} block of dimension {space.dim} maps to "
-                f"{len(images)} distinct slot {target} spaces")
-        mapping[space] = images.pop()
-    return mapping
-
-
-def orthogonality_compatible(map_i, map_j):
-    """Whether two block maps preserve orthogonality across slots.
-
-    Checks h-orthogonality both ways for every pair of spaces drawn
-    from the two domains; returns the list of violating pairs (empty
-    means compatible).
-    """
-    bad = []
-    for s, s2 in map_i.items():
-        for t, t2 in map_j.items():
-            if s.is_orthogonal_to(t) != s2.is_orthogonal_to(t2):
-                bad.append((s, t))
-    return bad
-
-
 # ---------------------------------------------------------------------------
 # plain reference graphs
 
@@ -261,11 +217,6 @@ class SimpleGraph:
     @property
     def n(self):
         return len(self.adjlist)
-
-    @property
-    def edges(self):
-        return tuple((u, v) for u in range(self.n)
-                     for v in self.adjlist[u] if u < v)
 
     @classmethod
     def from_edges(cls, n, edges, labels=None):

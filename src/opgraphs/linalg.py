@@ -153,12 +153,6 @@ class Matrix:
         z, o = field.zero, field.one
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def diagonal(cls, field, entries):
-        z = field.zero
-        n = len(entries)
-        return cls(field, [[entries[i] if i == j else z for j in range(n)] for i in range(n)])
-
     def _check(self, other):
         if self.field is not other.field:
             raise ValueError("matrices over different fields")
@@ -217,10 +211,6 @@ class Matrix:
     def scale(self, c):
         mul = self.field.mul
         return Matrix(self.field, [[mul(c, x) for x in row] for row in self.rows])
-
-    def neg(self):
-        neg = self.field.neg
-        return Matrix(self.field, [[neg(x) for x in row] for row in self.rows])
 
     def transpose(self):
         return Matrix(self.field, list(zip(*self.rows)))
@@ -297,11 +287,6 @@ class Matrix:
         sj = self.field.scalar_to_json
         return {"rows": [[sj(x) for x in row] for row in self.rows]}
 
-    @classmethod
-    def from_json(cls, field, obj):
-        sf = field.scalar_from_json
-        return cls(field, [[sf(x) for x in row] for row in obj["rows"]])
-
     def __repr__(self):
         fmt = self.field.format
         body = "; ".join(", ".join(fmt(x) for x in row) for row in self.rows)
@@ -325,14 +310,6 @@ class Subspace:
         self.rows = rows
         self.pivots = pivots
         self._hash = hash((field.name, ambient, rows))
-
-    @classmethod
-    def full(cls, field, ambient):
-        return cls(field, ambient, Matrix.identity(field, ambient).rows)
-
-    @classmethod
-    def zero_space(cls, field, ambient):
-        return cls(field, ambient, [])
 
     @classmethod
     def line(cls, field, vector):

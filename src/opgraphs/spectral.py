@@ -168,10 +168,6 @@ class EigenFlag:
     def __hash__(self):
         return hash(self.key())
 
-    def map_spaces(self, fn, check=True):
-        """New flag in the same class with fn applied to every slot."""
-        return EigenFlag(self.signature, [fn(X) for X in self.spaces], check=check)
-
     def move(self, i, j, X):
         """The two-slot move: slot i becomes X, slot j the orthocomplement
         of X inside X_i + X_j, every other slot stays.
@@ -187,25 +183,6 @@ class EigenFlag:
         spaces = list(self.spaces)
         spaces[i], spaces[j] = X, R
         return EigenFlag(self.signature, spaces)
-
-    def permute_slots(self, delta: SdPermutation):
-        """Slot i of the result is the old slot delta(i)."""
-        delta.validate_for(self.signature)
-        return EigenFlag(
-            self.signature, [self.spaces[delta(i)] for i in range(self.signature.k)],
-            check=False,
-        )
-
-    def to_json(self):
-        return {
-            "signature": self.signature.to_json(),
-            "spaces": [X.to_json() for X in self.spaces],
-        }
-
-    @classmethod
-    def from_json(cls, field, obj):
-        sig = ClassSignature.from_json(field, obj["signature"])
-        return cls(sig, [Subspace.from_json(field, s) for s in obj["spaces"]])
 
     def __repr__(self):
         return f"EigenFlag{self.spaces!r}"

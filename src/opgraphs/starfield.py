@@ -122,9 +122,6 @@ class GaussianRationals:
     def imag(self, x):
         return Fraction(x[1], x[2])
 
-    def from_int(self, n):
-        return (n, 0, 1)
-
     def scalar(self, re, im=0):
         re, im = Fraction(re), Fraction(im)
         return self.ratio(re.numerator, re.denominator,
@@ -354,12 +351,6 @@ class GaloisStarField:
 
     def is_fixed(self, x):
         return self.CONJ[x] == x
-
-    def pow(self, x, k):
-        return self._pow(x, k)
-
-    def from_int(self, n):
-        return (n % self.p + self.p) % self.p
 
     def elements(self):
         return range(self.order)

@@ -17,6 +17,7 @@ from opgraphs.autgroup import is_automorphism
 from opgraphs.constructions import induced_subgroup
 from opgraphs.graphs import LabeledGraph
 from opgraphs.lemmas import verify_obstruction_lemma
+from opgraphs.linalg import Matrix
 from opgraphs.spectral import ClassSignature, enumerate_class
 from opgraphs.starfield import QI, galois_field
 from tests.oracles import classify_pairs
@@ -30,6 +31,13 @@ _ACCEPTANCE = []
 def signature(field, sigma_texts, dims):
     sigma = tuple(field.parse_fixed(t) for t in sigma_texts)
     return ClassSignature(field, sigma, tuple(dims))
+
+
+def diag(field, entries):
+    """The diagonal matrix with the given entries."""
+    n = len(entries)
+    return Matrix(field, [[entries[i] if i == j else field.zero
+                           for j in range(n)] for i in range(n)])
 
 
 @pytest.fixture(scope="session")

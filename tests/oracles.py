@@ -7,7 +7,8 @@ inside the running orthocomplement; `semilinear_image` maps a flag
 through row-reduced subspaces.  The production paths (the point ids of
 `constructions.projective_points`, `constructions.slot_hyperplanes`,
 `constructions.orbit_class` and the point permutations) are checked
-against them.
+against them, and `permute_slots` relabels a flag's slots for
+`constructions.slot_permutation_vertex_map`.
 
 `classify_pairs` gives both readings of adjacency on every pair of a
 flag list, the census that `constructions.orbit_census` reads off one
@@ -23,8 +24,8 @@ from itertools import combinations, permutations, product
 
 from opgraphs.autgroup import adjacency_masks, is_automorphism
 from opgraphs.graphs import SimpleGraph
-from opgraphs.linalg import Subspace, relative_orthocomplement
-from opgraphs.spectral import ADJACENT, RANK_OTHER, pair_verdict
+from opgraphs.linalg import Matrix, Subspace, relative_orthocomplement
+from opgraphs.spectral import ADJACENT, RANK_OTHER, EigenFlag, pair_verdict
 
 
 def _require_finite(field):
@@ -39,7 +40,7 @@ def subspaces(field, ambient, k):
     if k < 0 or k > ambient:
         return
     if k == 0:
-        yield Subspace.zero_space(field, ambient)
+        yield Subspace(field, ambient, [])
         return
     els = field.elements()
     zero, one = field.zero, field.one
@@ -103,7 +104,7 @@ def orthogonal_decompositions(field, ambient, dims):
         k = remaining[0]
         if k == W.dim:
             if W.is_nondegenerate():
-                for rest in rec(Subspace.zero_space(field, ambient), remaining[1:]):
+                for rest in rec(Subspace(field, ambient, []), remaining[1:]):
                     yield (W,) + rest
             return
         for X in nondegenerate_subspaces_within(W, k):
@@ -111,7 +112,7 @@ def orthogonal_decompositions(field, ambient, dims):
             for rest in rec(R, remaining[1:]):
                 yield (X,) + rest
 
-    full = Subspace.full(field, ambient)
+    full = Subspace(field, ambient, Matrix.identity(field, ambient).rows)
     yield from rec(full, tuple(dims))
 
 
@@ -119,10 +120,17 @@ def semilinear_image(flag, M, phi):
     """The flag with every row r of every slot sent to M phi(r), slot
     labels kept.  Isometries pass the identity automorphism for phi,
     field automorphisms the identity matrix for M."""
-    return flag.map_spaces(
-        lambda S: S.map_rows(
-            lambda row: tuple(M.apply(tuple(phi(x) for x in row)))),
-        check=False)
+    return EigenFlag(flag.signature, [
+        S.map_rows(lambda row: tuple(M.apply(tuple(phi(x) for x in row))))
+        for S in flag.spaces], check=False)
+
+
+def permute_slots(flag, delta):
+    """The flag whose slot i is the old slot delta(i)."""
+    delta.validate_for(flag.signature)
+    return EigenFlag(flag.signature,
+                     [flag.spaces[delta(i)] for i in range(flag.signature.k)],
+                     check=False)
 
 
 @dataclass

@@ -50,6 +50,7 @@ from opgraphs.spectral import (
     rank_condition,
 )
 from opgraphs.starfield import QI
+from tests.conftest import diag
 from tests.oracles import (brute_force_order, complete_graph, cycle_graph,
                            path_graph)
 
@@ -111,7 +112,7 @@ def test_criterion_03_rational_worked_examples(qi_sig, acceptance):
     cycled = EigenFlag(qi_sig, (line(0, 1, 0), line(0, 0, 1), line(1, 0, 0)))
     d2 = Matrix(QI, difference_rows(a, cycled))
     ok2 = (not rank_condition(a, cycled)
-           and d2 == Matrix.diagonal(QI, [qi(2), qi(-1), qi(-1)])
+           and d2 == diag(QI, [qi(2), qi(-1), qi(-1)])
            and d2.rank() == 3)
     swapped = EigenFlag(qi_sig, (line(0, 1, 0), line(1, 0, 0), line(0, 0, 1)))
     ok3 = adjacency_slots(a, swapped) == (0, 1) and adjacent(a, swapped)

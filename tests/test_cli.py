@@ -478,6 +478,9 @@ NO_DIR = "no-such-dir/report.json"    # under tmp_path, so never writable
      "--lemma", "johnson-tau"),
     # rejected by argparse itself
     ("enumerate", "--p", "x"),
+    ("adjacency", "--pair-file", "pair-rank-only.json",
+     "--fixture", "no-such.json", "--dims", "7", "--seed", "3"),
+    ("adjacency", "--pair-file", "pair-rank-only.json", "--backend", "qi"),
     ("enumerate", "--dims", "-1,4"),
     ("verify-lemma", "--lemma", "nonsense"),
     (),
@@ -538,6 +541,13 @@ def test_error_reports_name_unexpected_exceptions(capsys, tmp_path,
     ("verify-lemma", "--fixture", "flagship.json", "--lemma", "lift",
      "--j", "1"),
     ("automorphisms", "--graph", "petersen", "--compare-induced"),
+    ("automorphisms", "--graph", "petersen", "--fixture", "no-such.json",
+     "--p", "7"),
+    ("automorphisms", "--graph", "petersen", "--seed", "1"),
+    ("automorphisms", "--graph", "petersen", "--n", "9"),
+    ("automorphisms", "--graph", "johnson", "--dims", "1,1,1"),
+    ("automorphisms", "--graph", "johnson", "--fixture", "flagship.json"),
+    ("automorphisms", "--fixture", "flagship.json", "--n", "9"),
     ("verify-lemma", "--backend", "qi", "--sigma", "1,2,3", "--dims", "2,1,1",
      "--lemma", "lift"),
     ("verify-lemma", "--p", "3", "--e", "1", "--sigma", "0,1,2",

@@ -16,7 +16,6 @@ from opgraphs.autgroup import StabChain, is_automorphism
 from opgraphs.constructions import (
     ConstructionError,
     chow_image,
-    chow_vertex_map,
     induced_generators,
     induced_order,
     induced_subgroup,
@@ -44,8 +43,8 @@ from opgraphs.linalg import Matrix, Subspace
 from opgraphs.spectral import (EigenFlag, SdPermutation, adjacency_slots,
                                coordinate_flag, enumerate_class)
 from opgraphs.starfield import QI, galois_field
-from tests.conftest import signature
-from tests.oracles import (classify_pairs, gaussian_binomial,
+from tests.conftest import diag, signature
+from tests.oracles import (classify_pairs, gaussian_binomial, permute_slots,
                            semilinear_image, subspaces, subspaces_within)
 
 GEN_ROWS_U3_GF9 = (
@@ -292,7 +291,7 @@ def test_point_permutation_vertex_maps_match_the_oracle(p, sigma, dims):
                        for flag in graph.vertices)
         assert semilinear_vertex_map(graph, M, phi) == oracle
     for delta in sd_generators(sig):
-        oracle = tuple(graph.index[flag.permute_slots(delta).key()]
+        oracle = tuple(graph.index[permute_slots(flag, delta).key()]
                        for flag in graph.vertices)
         assert slot_permutation_vertex_map(graph, delta) == oracle
     assert graph.forms == tuple(map(point_form, graph.vertices))
@@ -483,7 +482,7 @@ def test_chow_image_twists_the_second_slot():
         Subspace.line(QI, (qi(1), qi(0), qi(1))),
         Subspace(QI, 3, [(qi(1), qi(0), qi(-1)), (qi(0), qi(1), qi(0))]),
     ))
-    m = Matrix.diagonal(QI, [qi(1), qi(1), qi(2)])
+    m = diag(QI, [qi(1), qi(1), qi(2)])
     img = chow_image(flag, m)
     assert img.spaces[0] == Subspace.line(QI, (qi(1), qi(0), qi(2)))
     assert img.spaces[1] == img.spaces[0].orthocomplement()
@@ -518,23 +517,11 @@ def test_chow_image_rejects_degenerating_maps():
             chow_image(flag, shear)
 
 
-def test_chow_vertex_map_with_unitary_agrees_slotwise(grassmann_graph, f9):
-    two = f9.from_int(2)  # 2 = -1 over GF(3): unitary diagonal
-    m = Matrix.diagonal(f9, [f9.one, f9.one, two])
+def test_unitary_diagonal_vertex_map_is_an_automorphism(grassmann_graph, f9):
+    m = diag(f9, [f9.one, f9.one, f9.neg(f9.one)])  # diag(1, 1, -1)
     assert is_isometry(f9, m)
-    perm, witness = chow_vertex_map(grassmann_graph, m)
-    assert witness is None
-    assert perm == semilinear_vertex_map(grassmann_graph, m,
-                                         f9.automorphisms()[0])
+    perm = semilinear_vertex_map(grassmann_graph, m, f9.automorphisms()[0])
     assert is_automorphism(grassmann_graph.adjacency(), perm)
-
-
-def test_chow_vertex_map_rejects_shears(grassmann_graph, f9):
-    shear = Matrix(f9, ((f9.one, f9.one, f9.zero),
-                        (f9.zero, f9.one, f9.zero),
-                        (f9.zero, f9.zero, f9.one)))
-    with pytest.raises(ConstructionError):
-        chow_vertex_map(grassmann_graph, shear)
 
 
 def swap_instance():
@@ -636,7 +623,9 @@ ROTATED_DIGESTS = {
 
 def _digest(items):
     """Flags as JSON, a failed construction as its exception type."""
-    text = json.dumps([x if isinstance(x, str) else x.to_json()
+    text = json.dumps([x if isinstance(x, str) else
+                       {"signature": x.signature.to_json(),
+                        "spaces": [X.to_json() for X in x.spaces]}
                        for x in items], sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -4,7 +4,7 @@ decomposition oracle."""
 
 import pytest
 
-from opgraphs.linalg import Subspace
+from opgraphs.linalg import Matrix, Subspace
 from opgraphs.spectral import EigenFlag, enumerate_class
 from opgraphs.starfield import QI, galois_field
 from tests.conftest import signature
@@ -36,7 +36,7 @@ def test_subspace_counts_match_gaussian_binomials(f9):
 
 
 def test_subspaces_within_a_plane(f9):
-    full = Subspace.full(f9, 3)
+    full = Subspace(f9, 3, Matrix.identity(f9, 3).rows)
     plane = next(s for s in subspaces(f9, 3, 2) if s.is_nondegenerate())
     lines = list(subspaces_within(plane, 1))
     assert len(lines) == 10

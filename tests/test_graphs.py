@@ -1,20 +1,18 @@
 """Class graphs, their label structure, and the reference graphs."""
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
 
 from opgraphs.graphs import (
-    BlockMapError,
     LabeledGraph,
     SimpleGraph,
     TypeMapError,
     classify_type_map,
-    eigenspace_action,
     induced_type_map,
     johnson_graph,
-    orthogonality_compatible,
     pair_complement_map,
     petersen_graph,
 )
@@ -24,11 +22,20 @@ from tests.conftest import signature
 from tests.oracles import complete_graph, cycle_graph, path_graph
 
 
+def _degrees(graph):
+    return Counter(map(len, graph.adjacency()))
+
+
+def _edges(g):
+    """The edges (u, v), u < v, of a `SimpleGraph`."""
+    return [(u, v) for u, nbrs in enumerate(g.adjlist) for v in nbrs if u < v]
+
+
 def test_flagship_graph_shape(flagship_graph):
     g = flagship_graph
     assert g.n == 378
     assert len(g.edges) == 2835
-    assert g.degree_histogram() == {15: 378}
+    assert _degrees(g) == {15: 378}
     for slots in ((0, 1), (0, 2), (1, 2)):
         sizes = [len(vs) for t, vs in g.cliques if t == slots]
         assert sum(s * (s - 1) // 2 for s in sizes) == 945
@@ -47,7 +54,7 @@ def test_grassmann_graph_is_complete(grassmann_graph):
     g = grassmann_graph
     assert g.n == 63
     assert len(g.edges) == 63 * 62 // 2
-    assert g.degree_histogram() == {62: 63}
+    assert _degrees(g) == {62: 63}
     assert all(t == (0, 1) for t, _ in g.cliques)
 
 
@@ -138,7 +145,7 @@ def test_gf9_planes_graph_is_pinned():
     graph = LabeledGraph.build(signature(galois_field(3, 1), ("0", "1"), (2, 2)))
     assert graph.n == 5670
     assert len(graph.edges) == 1961820
-    assert graph.degree_histogram() == {692: 5670}
+    assert _degrees(graph) == {692: 5670}
     # one clique per 1-space of GF(9)^4, that is per point of PG(3, 9)
     assert len(graph.cliques) == 820
 
@@ -150,7 +157,7 @@ def test_gf4_planes_graph_is_pinned():
     graph = LabeledGraph.build(signature(galois_field(2, 1), ("0", "1"), (2, 3)))
     assert graph.n == 3520
     assert len(graph.edges) == 469920
-    assert graph.degree_histogram() == {267: 3520}
+    assert _degrees(graph) == {267: 3520}
     # one clique per point of PG(4, 4)
     assert len(graph.cliques) == 341
     assert {len(vs) for _, vs in graph.cliques} == {40, 64}
@@ -223,32 +230,14 @@ def test_classify_type_map_families():
     assert classify_type_map(weird, 4) == ("other", None)
 
 
-def test_eigenspace_action_identity(flagship_graph):
-    ident = tuple(range(flagship_graph.n))
-    m = eigenspace_action(flagship_graph, ident, 0, 0)
-    assert all(s == t for s, t in m.items())
-    assert len(m) == 63
-    assert orthogonality_compatible(m, m) == []
-
-
-def test_eigenspace_action_rejects_block_mixing(flagship_graph):
-    g = flagship_graph
-    blocks = g.eigenspace_blocks(0)
-    (s1, vs1), (s2, vs2) = list(blocks.items())[:2]
-    perm = list(range(g.n))
-    perm[vs1[0]], perm[vs2[0]] = perm[vs2[0]], perm[vs1[0]]
-    with pytest.raises(BlockMapError):
-        eigenspace_action(g, tuple(perm), 0, 0)
-
-
 def test_johnson_graphs():
     j3 = johnson_graph(3)
-    assert (j3.n, len(j3.edges)) == (3, 3)  # a triangle
+    assert (j3.n, len(_edges(j3))) == (3, 3)  # a triangle
     j4 = johnson_graph(4)
-    assert (j4.n, len(j4.edges)) == (6, 12)
+    assert (j4.n, len(_edges(j4))) == (6, 12)
     assert all(len(nbrs) == 4 for nbrs in j4.adjlist)
     j5 = johnson_graph(5)
-    assert (j5.n, len(j5.edges)) == (10, 30)
+    assert (j5.n, len(_edges(j5))) == (10, 30)
     assert all(len(nbrs) == 6 for nbrs in j5.adjlist)
     assert j5.labels == tuple(sorted(j5.labels))
 
@@ -256,23 +245,23 @@ def test_johnson_graphs():
 def test_petersen_is_the_pair_complement_of_johnson5():
     p = petersen_graph()
     j5 = johnson_graph(5)
-    assert (p.n, len(p.edges)) == (10, 15)
+    assert (p.n, len(_edges(p))) == (10, 15)
     assert all(len(nbrs) == 3 for nbrs in p.adjlist)
-    assert set(p.edges).isdisjoint(set(j5.edges))
-    assert len(p.edges) + len(j5.edges) == 45
+    assert set(_edges(p)).isdisjoint(set(_edges(j5)))
+    assert len(_edges(p)) + len(_edges(j5)) == 45
     # no triangles
-    for u, v in p.edges:
+    for u, v in _edges(p):
         assert not set(p.adjlist[u]) & set(p.adjlist[v])
 
 
 def test_plain_reference_graphs():
     k4 = complete_graph(4)
-    assert (k4.n, len(k4.edges)) == (4, 6)
+    assert (k4.n, len(_edges(k4))) == (4, 6)
     c5 = cycle_graph(5)
-    assert (c5.n, len(c5.edges)) == (5, 5)
+    assert (c5.n, len(_edges(c5))) == (5, 5)
     assert all(len(nbrs) == 2 for nbrs in c5.adjlist)
     p4 = path_graph(4)
-    assert (p4.n, len(p4.edges)) == (4, 3)
+    assert (p4.n, len(_edges(p4))) == (4, 3)
     g = SimpleGraph.from_edges(3, [(0, 1)], labels=["a", "b", "c"])
     assert g.adjlist == ((1,), (0,), ())
     assert g.labels == ("a", "b", "c")

@@ -19,6 +19,7 @@ from opgraphs.linalg import (
     rref,
 )
 from opgraphs.starfield import QI, galois_field
+from tests.conftest import diag
 from tests.oracles import subspaces
 
 F9 = galois_field(3, 1)
@@ -132,21 +133,11 @@ def test_hermitian_predicate():
 
 
 def test_diagonal_and_apply():
-    d = Matrix.diagonal(QI, [qi(1), qi(2), qi(3)])
+    d = diag(QI, [qi(1), qi(2), qi(3)])
     assert d.apply((qi(1), qi(1), qi(1))) == (qi(1), qi(2), qi(3))
     assert d.det() == qi(6)
     assert d.trace() == qi(6)
     assert matvec(QI, d.rows, (qi(1), qi(0), qi(0))) == (qi(1), qi(0), qi(0))
-
-
-def test_matrix_json_roundtrip():
-    @given(f9_matrices)
-    def run(a):
-        assert Matrix.from_json(F9, a.to_json()) == a
-
-    run()
-    m = Matrix(QI, [[qi(1, 2), qi(Fraction(-1, 3))], [qi(0), qi(5)]])
-    assert Matrix.from_json(QI, m.to_json()) == m
 
 
 def random_f9_subspace(rng, dim):
@@ -297,7 +288,7 @@ def test_subspace_adjacency_is_hyperplane_meeting():
 
 
 def test_is_invariant():
-    d = Matrix.diagonal(QI, [qi(1), qi(1), qi(3)])
+    d = diag(QI, [qi(1), qi(1), qi(3)])
     plane = Subspace(QI, 3, [(qi(1), qi(0), qi(0)), (qi(0), qi(1), qi(0))])
     tilted = Subspace(QI, 3, [(qi(1), qi(0), qi(1))])
     assert is_invariant(d.rows, QI, plane)

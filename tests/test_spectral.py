@@ -24,8 +24,8 @@ from opgraphs.spectral import (
     rank_condition,
 )
 from opgraphs.starfield import QI, galois_field
-from tests.conftest import signature
-from tests.oracles import subspaces
+from tests.conftest import diag, signature
+from tests.oracles import permute_slots, subspaces
 
 
 def qi(re, im=0):
@@ -41,11 +41,11 @@ A = coordinate_flag(DIAG123)
 
 
 def test_coordinate_flag_matrix_is_diagonal():
-    assert A.matrix() == Matrix.diagonal(QI, [qi(1), qi(2), qi(3)])
+    assert A.matrix() == diag(QI, [qi(1), qi(2), qi(3)])
     sig = signature(QI, ("1", "2"), (1, 2))
     f = coordinate_flag(sig)
     assert f.spaces[0].dim == 1 and f.spaces[1].dim == 2
-    assert f.matrix() == Matrix.diagonal(QI, [qi(1), qi(2), qi(2)])
+    assert f.matrix() == diag(QI, [qi(1), qi(2), qi(2)])
 
 
 def test_rotated_flag_worked_example():
@@ -77,13 +77,13 @@ def test_swapped_lines_worked_example():
     b = EigenFlag(DIAG123, (line(0, 1, 0), line(1, 0, 0), line(0, 0, 1)))
     assert adjacent(A, b)
     assert adjacency_slots(A, b) == (0, 1)
-    assert Matrix(QI, difference_rows(A, b)) == Matrix.diagonal(QI, [qi(1), qi(-1), qi(0)])
+    assert Matrix(QI, difference_rows(A, b)) == diag(QI, [qi(1), qi(-1), qi(0)])
 
 
 def test_three_cycle_of_lines_is_not_adjacent():
     b = EigenFlag(DIAG123, (line(0, 1, 0), line(0, 0, 1), line(1, 0, 0)))
     d = Matrix(QI, difference_rows(A, b))
-    assert d == Matrix.diagonal(QI, [qi(2), qi(-1), qi(-1)])
+    assert d == diag(QI, [qi(2), qi(-1), qi(-1)])
     assert d.rank() == 3
     assert not rank_condition(A, b)
     assert not adjacent(A, b)
@@ -172,7 +172,7 @@ def test_flag_from_matrix_rejects_wrong_spectrum():
 def test_contract_operator_identity():
     t = contract(A, 0, 1)
     assert t.signature.dims == (2, 1)
-    assert t.matrix() == Matrix.diagonal(QI, [qi(2), qi(2), qi(3)])
+    assert t.matrix() == diag(QI, [qi(2), qi(2), qi(3)])
     # matrix(A) = matrix(T) + (a_0 - a_1) P_{X_0}
     p = A.spaces[0].projection()
     assert A.matrix() == t.matrix() + p.scale(qi(-1))
@@ -236,12 +236,12 @@ def test_move_over_the_rationals():
 
 def test_permute_slots():
     delta = SdPermutation((1, 0, 2))
-    b = A.permute_slots(delta)
+    b = permute_slots(A, delta)
     # slot t of the new flag is old slot delta(t)
     assert b.spaces[0] == A.spaces[1]
     assert b.spaces[1] == A.spaces[0]
     assert b.spaces[2] == A.spaces[2]
-    assert b.matrix() == Matrix.diagonal(QI, [qi(2), qi(1), qi(3)])
+    assert b.matrix() == diag(QI, [qi(2), qi(1), qi(3)])
     with pytest.raises(ValueError):
         SdPermutation((0, 0, 2))
     uneven = signature(QI, ("1", "2"), (1, 2))

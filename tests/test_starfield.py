@@ -168,10 +168,12 @@ def test_fixed_subfield_sizes():
 
 def test_galois_conjugation_is_frobenius_power():
     # conj(x) = x^(p^e): x^3 on GF(9), x^4 on GF(16)
-    for x in F9.elements():
-        assert F9.conj(x) == F9.pow(x, 3)
-    for x in F16.elements():
-        assert F16.conj(x) == F16.pow(x, 4)
+    for field, q in ((F9, 3), (F16, 4)):
+        for x in field.elements():
+            power = field.one
+            for _ in range(q):
+                power = field.mul(power, x)
+            assert field.conj(x) == power
 
 
 def test_parse_fixed_galois_indexing():
@@ -182,15 +184,6 @@ def test_parse_fixed_galois_indexing():
         F9.parse_fixed("3")
     with pytest.raises(StarFieldError):
         F9.parse_fixed("-1")
-
-
-def test_from_int_is_a_ring_map():
-    for field in (QI, F9, F16):
-        for a in range(-4, 5):
-            for b in range(-4, 5):
-                x, y = field.from_int(a), field.from_int(b)
-                assert field.add(x, y) == field.from_int(a + b)
-                assert field.mul(x, y) == field.from_int(a * b)
 
 
 def test_automorphism_groups():
