@@ -6,10 +6,10 @@ iterated neighborhood color multiset, individualizes inside the
 smallest cell, and prunes with refinement traces plus the orbits of the
 automorphisms found so far.  Refinement after an individualization
 recounts only the arcs out of the cells that just split, and gives
-exactly the coloring of a full recount.  Every candidate permutation
-is verified against the edge set before it is accepted.  The group
-order is read off the search tree: the product, over the first path,
-of the orbit length of each individualized vertex under the
+exactly the coloring of a full recount.  A candidate permutation is
+accepted only if it maps each vertex's neighborhood onto its image's.
+The group order is read off the search tree: the product, over the
+first path, of the orbit length of each individualized vertex under the
 automorphisms fixing the ones before it (McKay, "Practical graph
 isomorphism", 1981).  Known automorphisms are sifted into a
 Schreier-Sims chain on the search base, closed up to a known order;
@@ -58,28 +58,17 @@ def inverse(p):
     return tuple(out)
 
 
-def adjacency_masks(adjlist):
-    masks = []
-    for nbrs in adjlist:
-        m = 0
-        for u in nbrs:
-            m |= 1 << u
-        masks.append(m)
-    return masks
-
-
-def is_automorphism(adjlist, perm, masks=None):
-    """Edge set preserved in both directions."""
+def is_automorphism(adjlist, perm):
+    """A permutation that maps each vertex's neighborhood onto its
+    image's: injective, and into a neighborhood of the same size."""
     n = len(adjlist)
     if sorted(perm) != list(range(n)):
         return False
-    if masks is None:
-        masks = adjacency_masks(adjlist)
-    for v in range(n):
-        img = 0
-        for u in adjlist[v]:
-            img |= 1 << perm[u]
-        if img != masks[perm[v]]:
+    image = perm.__getitem__
+    for v, w in enumerate(perm):
+        nbrs = adjlist[w]
+        if (len(adjlist[v]) != len(nbrs)
+                or not set(nbrs).issuperset(map(image, adjlist[v]))):
             return False
     return True
 
@@ -87,9 +76,9 @@ def is_automorphism(adjlist, perm, masks=None):
 class StabChain:
     """Schreier-Sims stabilizer chain.
 
-    `add` grows it one element at a time, checking the Schreier
-    generators after each; `close_known` (the search's known chain)
-    sifts a whole generating set in first and checks them once.
+    `close` sifts a generating set in and then checks the Schreier
+    generators once; called once per element, it grows the chain one
+    element at a time.
 
     `orbits[l][x]` holds the inverse u_x^-1 of the transversal element
     u_x that sends base[l] to x, so sifting composes and never inverts.
@@ -98,7 +87,7 @@ class StabChain:
     valid as the chain grows.
 
     `known_order`, when given, must be an upper bound on the order of
-    the group the added elements generate.  The product of the basic
+    the group the closed elements generate.  The product of the basic
     orbit lengths is a lower bound at every stage, so once it reaches
     `known_order` the chain is a complete base and strong generating
     set and closure stops there.
@@ -168,30 +157,15 @@ class StabChain:
             self.gens[k].append(h)
             self.gens_inv[k].append(h_inv)
 
-    def _sift_in(self, g):
-        """Append g's residue at its level; returns the level, or None
-        when g sifts through."""
-        h, l = self.strip(tuple(g))
-        if h == self.identity:
-            return None
-        self._append_gen(h, l)
-        return l
-
-    def add(self, g):
-        """Extend the chain with g; returns True when the group grew."""
-        l = self._sift_in(g)
-        if l is None:
-            return False
-        self._close(l)
-        return True
-
-    def close_known(self, gens):
-        """Close the chain over `gens`, stopping at `known_order` if set.
+    def close(self, gens):
+        """Close the chain over `gens`, stopping at `known_order` if set;
+        returns True when some residue was not the identity.
 
         Each generator is sifted in and the orbits its residue reaches
-        are extended; no Schreier generator is checked yet.  Then the
-        deterministic closure runs from the deepest level, and returns
-        at its first check when the order already equals `known_order`.
+        are extended; no Schreier generator is checked yet.  Then, if
+        any residue was new, the deterministic closure runs from the
+        deepest level, and returns at its first check when the order
+        already equals `known_order`.
 
         Every residue is a word in `gens`, so `order()` is a lower bound
         on the order of the group they generate, and `known_order` must
@@ -202,14 +176,19 @@ class StabChain:
         order reaches `known_order` or none is left, so the order it
         leaves is exact.
         """
+        grew = False
         for g in gens:
-            l = self._sift_in(g)
-            if l is not None:
+            h, l = self.strip(tuple(g))
+            if h != self.identity:
+                grew = True
+                self._append_gen(h, l)
                 for k in range(l + 1):
                     self._extend_orbit(k)
-        self._close(len(self.base) - 1)
+        if grew:
+            self._close()
+        return grew
 
-    def _close(self, start):
+    def _close(self):
         """Verify Schreier generators until the chain is consistent.
 
         Every (orbit point, generator) pair is checked at most once per
@@ -217,7 +196,7 @@ class StabChain:
         the scan restarts from the deepest level.  Stops early once the
         order reaches `known_order`.
         """
-        level = min(start, len(self.base) - 1)
+        level = len(self.base) - 1
         while level >= 0:
             self._extend_orbit(level)
             if (self.known_order is not None
@@ -401,7 +380,6 @@ def automorphism_group(adjlist, known_generators=(), known_order=None,
     """
     n = len(adjlist)
     adjlist = tuple(tuple(sorted(u)) for u in adjlist)
-    masks = adjacency_masks(adjlist)
     nodes = 0
 
     def count_node():
@@ -424,13 +402,13 @@ def automorphism_group(adjlist, known_generators=(), known_order=None,
     first_leaf_inv = inverse(tuple(_leaf_order(colors)))
 
     known = [tuple(g) for g in known_generators]
-    if not all(is_automorphism(adjlist, g, masks) for g in known):
+    if not all(is_automorphism(adjlist, g) for g in known):
         raise ValueError("known generator is not an automorphism")
     # only the identity automorphism fixes the whole base, so the chain
     # keeps exactly the search's levels; its transversals are dropped,
     # since the search needs only the strong generators
     known_chain = StabChain(n, known_order, base=base)
-    known_chain.close_known(known)
+    known_chain.close(known)
     strong = known_chain.gens
     known_orbit_sizes = [len(tr) for tr in known_chain.orbits]
     del known_chain
@@ -463,7 +441,7 @@ def automorphism_group(adjlist, known_generators=(), known_order=None,
         cell = _target_cell(colors)
         if cell is None:
             g = compose(tuple(_leaf_order(colors)), first_leaf_inv)
-            if not is_automorphism(adjlist, g, masks):
+            if not is_automorphism(adjlist, g):
                 return False
             found.append(g)
             merge(g)

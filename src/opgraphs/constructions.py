@@ -87,7 +87,7 @@ def unitary_generators(field, n):
     rows, ids = projective_points(field, n)
     # the kernel of the point action is exactly the q+1 norm-one
     # scalars, so the isometries induce at most |PU(n,q)|; below it the
-    # chain closes fully, so `add` reports growth exactly as without
+    # chain closes fully, so `close` reports growth exactly as without
     # the stop
     target = unitary_order(field.q, n) // (field.q + 1)
     chain = StabChain(len(rows), known_order=target)
@@ -95,7 +95,7 @@ def unitary_generators(field, n):
     column = lru_cache(maxsize=None)(lambda r: matvec(field, rows, r))
     gens = []
     for M in unitary_group(field, n):
-        if chain.add(tuple(ids[w] for w in zip(*map(column, M.rows)))):
+        if chain.close([tuple(ids[w] for w in zip(*map(column, M.rows)))]):
             gens.append(M)
             if chain.order() == target:
                 return tuple(gens)

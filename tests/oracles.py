@@ -12,17 +12,19 @@ against them, and `permute_slots` relabels a flag's slots for
 
 `classify_pairs` gives both readings of adjacency on every pair of a
 flag list, the census that `constructions.orbit_census` reads off one
-row.  `brute_force_order` counts automorphisms over every vertex
-permutation; `complete_graph`, `cycle_graph` and `path_graph` are the
-small reference graphs; `canonical_json` is the compact sorted
-rendering that report digests are taken over.
+row.  `mask_is_automorphism` compares a permutation's image of each
+neighborhood with the target's as n-bit masks, the oracle of
+`autgroup.is_automorphism`, and `brute_force_order` counts
+automorphisms with it over every vertex permutation.  `complete_graph`,
+`cycle_graph` and `path_graph` are the small reference graphs;
+`canonical_json` is the compact sorted rendering that report digests
+are taken over.
 """
 
 import json
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from opgraphs.autgroup import adjacency_masks, is_automorphism
 from opgraphs.graphs import SimpleGraph
 from opgraphs.linalg import Matrix, Subspace, relative_orthocomplement
 from opgraphs.spectral import ADJACENT, RANK_OTHER, EigenFlag, pair_verdict
@@ -174,6 +176,34 @@ def classify_pairs(flags) -> PairCensus:
     return census
 
 
+def adjacency_masks(adjlist):
+    """One n-bit integer per vertex, bit u set for each neighbor u."""
+    masks = []
+    for nbrs in adjlist:
+        m = 0
+        for u in nbrs:
+            m |= 1 << u
+        masks.append(m)
+    return masks
+
+
+def mask_is_automorphism(adjlist, perm, masks=None):
+    """The edge set preserved, compared as bit masks; the oracle for
+    `autgroup.is_automorphism`."""
+    n = len(adjlist)
+    if sorted(perm) != list(range(n)):
+        return False
+    if masks is None:
+        masks = adjacency_masks(adjlist)
+    for v in range(n):
+        img = 0
+        for u in adjlist[v]:
+            img |= 1 << perm[u]
+        if img != masks[perm[v]]:
+            return False
+    return True
+
+
 def brute_force_order(adjlist):
     """Filter all vertex permutations; intended for graphs with <= 8 vertices."""
     n = len(adjlist)
@@ -182,7 +212,7 @@ def brute_force_order(adjlist):
     masks = adjacency_masks(adjlist)
     count = 0
     for p in permutations(range(n)):
-        if is_automorphism(adjlist, p, masks):
+        if mask_is_automorphism(adjlist, p, masks):
             count += 1
     return count
 

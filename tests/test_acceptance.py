@@ -10,8 +10,6 @@ from fractions import Fraction
 from itertools import permutations
 from math import prod
 
-import pytest
-
 from opgraphs.autgroup import (
     automorphism_group,
     backtracking_order,

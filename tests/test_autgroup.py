@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from opgraphs.autgroup import (
     BudgetExceededError,
     StabChain,
-    adjacency_masks,
     automorphism_group,
     backtracking_order,
     compose,
@@ -29,7 +28,7 @@ from opgraphs.autgroup import (
 )
 from opgraphs.graphs import johnson_graph, petersen_graph
 from tests.oracles import (brute_force_order, complete_graph, cycle_graph,
-                           path_graph)
+                           mask_is_automorphism, path_graph)
 
 
 def perms(n):
@@ -62,8 +61,44 @@ def test_is_automorphism_basics():
     p4 = path_graph(4)
     assert is_automorphism(p4.adjlist, (3, 2, 1, 0))
     assert not is_automorphism(p4.adjlist, (1, 2, 3, 0))
-    masks = adjacency_masks(p4.adjlist)
-    assert not is_automorphism(p4.adjlist, (1, 0, 2, 3), masks)
+    assert not is_automorphism(p4.adjlist, (1, 0, 2, 3))
+
+
+@st.composite
+def graphs_with_a_symmetry(draw):
+    """A graph on up to 8 vertices, unsorted neighbor lists of it, and
+    a permutation g whose edge orbits make up the edge set, so that g is
+    an automorphism."""
+    n = draw(st.integers(0, 8))
+    g = draw(perms(n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    seeds = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    adj = [set() for _ in range(n)]
+    for u, v in seeds:
+        while v not in adj[u]:
+            adj[u].add(v)
+            adj[v].add(u)
+            u, v = g[u], g[v]
+    shuffled = [draw(st.permutations(sorted(a))) for a in adj]
+    return tuple(tuple(sorted(a)) for a in adj), shuffled, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_a_symmetry(), perms(8))
+def test_is_automorphism_matches_the_mask_oracle(graph, shuffle):
+    adjlist, shuffled, g = graph
+    n = len(adjlist)
+    # a drawn permutation of the vertices, mostly not an automorphism
+    p = tuple(x for x in shuffle if x < n)
+    candidates = [g, compose(g, g), p, compose(p, g),
+                  g + (n,), g[:-1], g[1:2] + g[1:]]
+    for adj in (adjlist, shuffled):
+        assert is_automorphism(adj, g) and is_automorphism(adj, compose(g, g))
+        for perm in candidates:
+            assert is_automorphism(adj, perm) == mask_is_automorphism(adj, perm)
+        # a wrong length, and a repeated image where there are two points
+        assert not is_automorphism(adj, g + (n,))
+        assert n < 2 or not is_automorphism(adj, g[1:2] + g[1:])
 
 
 FIXTURES = [
@@ -106,8 +141,7 @@ def test_known_generators_seed_the_search():
     assert seeded.order() == 120
     assert g in seeded.generators()
     closed = StabChain(10)
-    for h in seeded.generators():
-        closed.add(h)
+    closed.close(seeded.generators())
     assert closed.order() == 120
 
 
@@ -138,7 +172,7 @@ def test_search_order_matches_brute_force(adjlist, data):
     closed = StabChain(n)
     for g in group.generators():
         assert is_automorphism(adjlist, g)
-        closed.add(g)
+        closed.close([g])
     assert closed.order() == want
     # any verified automorphisms may seed the search without moving the order
     auts = [p for p in permutations(range(n)) if is_automorphism(adjlist, p)]
@@ -160,7 +194,7 @@ def test_stabchain_symmetric_group():
         for a in range(n - 1):
             t = list(range(n))
             t[a], t[a + 1] = t[a + 1], t[a]
-            chain.add(tuple(t))
+            chain.close([tuple(t)])
         want = 1
         for m in range(2, n + 1):
             want *= m
@@ -174,8 +208,7 @@ def test_stabchain_symmetric_group():
 def test_stabchain_membership_boundary():
     # the group moving only {0, 1, 2} inside S4
     chain = StabChain(4)
-    chain.add((1, 0, 2, 3))
-    chain.add((0, 2, 1, 3))
+    chain.close([(1, 0, 2, 3), (0, 2, 1, 3)])
     assert chain.order() == 6
     assert chain.contains((2, 0, 1, 3))
     assert not chain.contains((0, 1, 3, 2))
@@ -231,23 +264,27 @@ def small_groups(draw):
 def test_stabchain_matches_bfs_closure(group):
     n, gens, probes = group
     elements = closure(n, gens)
+    # closed one generator at a time, the chain grows exactly when the
+    # generator lies outside the group of the ones before it
     plain = StabChain(n)
     stopped = StabChain(n, known_order=len(elements))
-    for g in gens:
-        plain.add(g)
-        stopped.add(g)
+    for k, g in enumerate(gens):
+        outside = g not in closure(n, gens[:k])
+        assert plain.close([g]) == stopped.close([g]) == outside
     # the known-order closure stops at the true order; at twice the true
-    # order it checks every Schreier generator and leaves the exact order
+    # order, or without one, it checks every Schreier generator and
+    # leaves the exact order
     known = StabChain(n, known_order=len(elements))
-    known.close_known(gens)
     unreached = StabChain(n, known_order=2 * len(elements))
-    unreached.close_known(gens)
+    whole = StabChain(n)
+    for chain in (known, unreached, whole):
+        assert chain.close(gens) == (len(elements) > 1)
     assert plain.order() == stopped.order() == len(elements)
-    assert known.order() == unreached.order() == len(elements)
+    assert known.order() == unreached.order() == whole.order() == len(elements)
     again = StabChain(n, known_order=len(elements))
-    again.close_known(gens)
+    again.close(gens)
     assert (again.base, again.generators()) == (known.base, known.generators())
-    for chain in (plain, stopped, known, unreached):
+    for chain in (plain, stopped, known, unreached, whole):
         # orbits hold inverse transversal elements: u_x^-1 sends x to
         # the base point and fixes the earlier base points
         for l, tr in enumerate(chain.orbits):
@@ -378,9 +415,9 @@ def test_known_group_chain_prunes_without_moving_the_order(graph):
     # without a known order the closure is exact Schreier-Sims
     added = StabChain(n)
     for g in gens:
-        added.add(g)
+        added.close([g])
     for closed in (StabChain(n), StabChain(n, base=group.base)):
-        closed.close_known(gens)
+        closed.close(gens)
         assert closed.order() == added.order() == want
         assert all(closed.contains(g) for g in added.generators())
         assert all(added.contains(g) for g in closed.generators())

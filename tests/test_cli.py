@@ -205,7 +205,7 @@ def test_generator_files_generate_the_reported_group(capsys, tmp_path, argv):
     chain = StabChain(len(adj))
     for g in group["generators"]:
         assert is_automorphism(adj, tuple(g))
-        chain.add(g)
+        chain.close([g])
     res = rep["results"]
     assert str(chain.order()) == group["order"] == res["automorphism_order"]
     assert str(prod(res["first_path_orbits"])) == group["order"]
@@ -620,28 +620,29 @@ INDUCED_IDS = ["flagship compare-induced", "johnson-tau"]
 @pytest.mark.parametrize("argv", INDUCED_COMMANDS, ids=INDUCED_IDS)
 def test_the_natural_maps_are_verified_and_closed_once(capsys, monkeypatch,
                                                        argv):
-    # only the seeded search verifies the natural maps (against its
-    # masks) and closes them (into its chain on the class's vertices)
+    # only the seeded search verifies the natural maps and closes them
+    # (into its chain on the class's vertices): 5 isometries, 1 Frobenius
+    # map and 2 slot transpositions, and at index 1 no leaf is checked
     n = 378
-    chains, masks = [], []
-    init, real_masks = autgroup.StabChain.__init__, autgroup.adjacency_masks
+    chains, checks = [], []
+    init, real_check = autgroup.StabChain.__init__, autgroup.is_automorphism
 
     def counted_init(self, points, *args, **kwargs):
         chains.append(points)
         init(self, points, *args, **kwargs)
 
-    def counted_masks(adjlist):
-        masks.append(len(adjlist))
-        return real_masks(adjlist)
+    def counted_check(adjlist, perm):
+        checks.append(len(adjlist))
+        return real_check(adjlist, perm)
 
     monkeypatch.setattr(autgroup.StabChain, "__init__", counted_init)
     for name, module in list(sys.modules.items()):
-        if name.startswith("opgraphs.") and hasattr(module, "adjacency_masks"):
-            monkeypatch.setattr(module, "adjacency_masks", counted_masks)
+        if name.startswith("opgraphs.") and hasattr(module, "is_automorphism"):
+            monkeypatch.setattr(module, "is_automorphism", counted_check)
     code, _ = run(capsys, *argv)
     assert code == 0
     assert chains.count(n) == 1
-    assert masks.count(n) == 1
+    assert checks.count(n) == 8
 
 
 @pytest.mark.parametrize("argv", INDUCED_COMMANDS, ids=INDUCED_IDS)

@@ -386,14 +386,14 @@ def test_induced_generators_take_every_galois_map(flagship_groups, f9):
 
 
 def natural_closure(graph, base=()):
-    """The natural maps closed by `close_known` up to `induced_order`, as
+    """The natural maps closed by `close` up to `induced_order`, as
     the seeded search closes them on its base.  On K208 (GF(16)^3 dims
     (1,2)) the seeded search walks 20720 nodes, so the tests close the
     maps this way there instead of calling `induced_subgroup`."""
     gens = induced_generators(graph)
     chain = StabChain(graph.n, induced_order(graph.vertices[0].signature),
                       base=base)
-    chain.close_known(perm for _, _, perm in gens)
+    chain.close(perm for _, _, perm in gens)
     return chain, gens
 
 
@@ -449,7 +449,7 @@ def test_known_order_stop_matches_the_full_closure(p, e, sigma, dims, search):
         assert tuple(map(len, chain.orbits)) == group.known_orbit_sizes
     full = StabChain(graph.n)
     for _, _, perm in gens:
-        full.add(perm)
+        full.close([perm])
     assert full.order() == chain.order() == induced_order(
         graph.vertices[0].signature)
     assert all(chain.contains(g) for g in full.generators())

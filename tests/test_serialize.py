@@ -1,9 +1,6 @@
 """JSON and DOT round trips, plus the shipped fixture files."""
 
-import json
 from pathlib import Path
-
-import pytest
 
 from opgraphs.serialize import (
     EDGE_PALETTE,
