@@ -137,10 +137,6 @@ class StabChain:
             g = compose(tr[x], g)
         return g, len(self.base)
 
-    def contains(self, g):
-        h, _ = self.strip(tuple(g))
-        return h == self.identity
-
     def _new_level(self, b):
         self.base.append(b)
         self.gens.append([])
@@ -230,9 +226,6 @@ class StabChain:
                 level = len(self.base) - 1
             else:
                 level -= 1
-
-    def generators(self):
-        return list(self.gens[0]) if self.gens else []
 
 
 def refine_colors(adjlist, colors, _split=None):

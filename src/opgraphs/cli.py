@@ -287,7 +287,7 @@ def cmd_components(args):
     else:  # ibar
         config["slot"] = i
         comps = graph.avoiding_components(i)
-        blocks = tuple(sorted(graph.eigenspace_blocks(i).values()))
+        blocks = graph.eigenspace_blocks(i)
         contained, equal = _compare_partitions(comps, blocks)
         results = {
             "slot": i,

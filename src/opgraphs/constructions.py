@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import factorial, prod
 
 from .autgroup import NODE_BUDGET, StabChain, automorphism_group
 from .linalg import Matrix, Subspace, herm_form, matvec
@@ -374,14 +374,7 @@ def sd_generators(sig):
 
 def sd_group_order(sig):
     """|S_d|, the number of slot permutations that keep dimensions."""
-    out = 1
-    by_dim = {}
-    for d in sig.dims:
-        by_dim[d] = by_dim.get(d, 0) + 1
-    for c in by_dim.values():
-        for t in range(2, c + 1):
-            out *= t
-    return out
+    return prod(factorial(c) for c in Counter(sig.dims).values())
 
 
 def induced_order(sig):
@@ -554,8 +547,8 @@ def reverse_middle_flags(graph, A, B, i, j, t):
     The obstruction claim is that this list is empty for the
     constructed pair.
     """
-    va = graph.index[A.key()]
-    vb = graph.index[B.key()]
+    va = graph.form_index[point_form(A)]
+    vb = graph.form_index[point_form(B)]
     first = tuple(sorted((j, t)))
     second = tuple(sorted((i, j)))
     return [v for v in graph.adjacency()[va]

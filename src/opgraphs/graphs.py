@@ -12,22 +12,39 @@ from __future__ import annotations
 from itertools import combinations
 
 from .constructions import orbit_class, projective_points, slot_hyperplanes
-from .spectral import contract
 
 
 class TypeMapError(RuntimeError):
     """A vertex permutation does not act coherently on edge labels."""
 
 
+def other_slots(form, *slots):
+    """A point form with the given slots left out."""
+    return tuple(ids for t, ids in enumerate(form) if t not in slots)
+
+
+def _partition(keys):
+    """Positions grouped by equal key: a sorted tuple of sorted tuples."""
+    groups = {}
+    for v, key in enumerate(keys):
+        groups.setdefault(key, []).append(v)
+    return tuple(sorted(map(tuple, groups.values())))
+
+
 class LabeledGraph:
     """Finite class graph stored as `cliques`: (slot pair, sorted vertex
     tuple) per key of `build`, every edge in exactly one clique.  Each
-    vertex also has its point form (`forms`, as `orbit_class` returns
-    them), and `form_index` maps a form back to its vertex."""
+    vertex is keyed by its point form (`forms`, as `orbit_class` returns
+    them), and `form_index` maps a form back to its vertex; a flag built
+    elsewhere is found through `constructions.point_form`.
+
+    The slots of a flag are nondegenerate, mutually orthogonal and span
+    the space, so X_i + X_j is the orthocomplement of the other slots:
+    the partitions below are read off the forms, with no linear
+    algebra."""
 
     def __init__(self, vertices, cliques, forms):
         self.vertices = tuple(vertices)
-        self.index = {flag.key(): v for v, flag in enumerate(self.vertices)}
         self.cliques = tuple(cliques)
         self.forms = tuple(forms)
         self.form_index = {form: v for v, form in enumerate(self.forms)}
@@ -46,7 +63,8 @@ class LabeledGraph:
         The flags of a bucket sharing a hyperplane of the smaller slot
         form a clique, and distinct spaces share at most one.  A
         hyperplane is named by the sorted ids of its projective points
-        (`constructions.slot_hyperplanes`), read once per slot space.
+        (`constructions.slot_hyperplanes`), read once per slot space,
+        and the frozen slots by their point forms.
         """
         flags, forms = orbit_class(signature)
         k, dims = signature.k, signature.dims
@@ -57,7 +75,7 @@ class LabeledGraph:
             s = i if dims[i] <= dims[j] else j
             keys = {}
             for v, flag in enumerate(flags):
-                frozen = tuple(flag.spaces[t].rows for t in range(k) if t not in (i, j))
+                frozen = other_slots(forms[v], i, j)
                 S = flag.spaces[s]
                 if S not in hyperplanes:
                     hyperplanes[S] = slot_hyperplanes(S, index)
@@ -117,10 +135,7 @@ class LabeledGraph:
                 root = find(vs[0])
                 for v in vs[1:]:
                     parent[find(v)] = root
-        comps = {}
-        for v in range(self.n):
-            comps.setdefault(find(v), []).append(v)
-        return tuple(sorted(tuple(c) for c in comps.values()))
+        return _partition(map(find, range(self.n)))
 
     def ij_components(self, i, j):
         """Components of the subgraph keeping only (i, j)-labeled edges."""
@@ -132,25 +147,16 @@ class LabeledGraph:
         return self.components(lambda t: i not in t)
 
     def eigenspace_blocks(self, i):
-        """Group vertices by their slot-i space.
-
-        Returns a dict mapping each space to the sorted tuple of
-        vertices carrying it.
-        """
-        blocks = {}
-        for v, flag in enumerate(self.vertices):
-            blocks.setdefault(flag.spaces[i], []).append(v)
-        return {s: tuple(vs) for s, vs in blocks.items()}
+        """Vertices grouped by their slot-i space, in the shape of
+        components()."""
+        return _partition(form[i] for form in self.forms)
 
     def fiber_partition(self, i, j):
-        """Vertices grouped by their (i, j)-contraction.
-
-        Same shape as components(): a sorted tuple of sorted tuples.
-        """
-        groups = {}
-        for v, flag in enumerate(self.vertices):
-            groups.setdefault(contract(flag, i, j).key(), []).append(v)
-        return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+        """Vertices grouped by their (i, j)-contraction, which their
+        other slots fix; in the shape of components().  Refuses the
+        slot pairs `ClassSignature.contracted` refuses."""
+        self.vertices[0].signature.contracted(i, j)
+        return _partition(other_slots(form, i, j) for form in self.forms)
 
 
 def induced_type_map(graph, perm):

@@ -21,7 +21,8 @@ from .constructions import (ConstructionError, class_size, induced_order,
                             orbit_census, pairs_from_row,
                             reverse_middle_flags, swap_flag, tilts)
 from .graphs import (LabeledGraph, TypeMapError, classify_type_map,
-                     induced_type_map, johnson_graph, pair_complement_map)
+                     induced_type_map, johnson_graph, other_slots,
+                     pair_complement_map)
 from .autgroup import (NODE_BUDGET, automorphism_group, backtracking_order,
                        is_automorphism)
 from .linalg import Subspace, relative_orthocomplement
@@ -186,15 +187,18 @@ def verify_fiber_lift(sig, i=None, j=None):
         return report
     graph = LabeledGraph.build(sig)
     graph2 = LabeledGraph.build(sig2)
-    owner = [graph2.index[contract(flag, i, j).key()] for flag in graph.vertices]
+    # a contraction is fixed by its unmerged slots
+    fiber = {other_slots(form, pos): v for v, form in enumerate(graph2.forms)}
+    owner = [fiber[other_slots(form, i, j)] for form in graph.forms]
     # the contracted vertices joined to vertex 0 by an edge of the class graph
     lifted = {owner[w] for v in range(graph.n) if owner[v] == 0
               for w in graph.adjacency()[v]}
     row = graph2.adjacency()[0]
-    if pairs_from_row(graph2.n, len(row)) != len(graph2.edges):
+    edges2 = sum(map(len, graph2.adjacency())) // 2
+    if pairs_from_row(graph2.n, len(row)) != edges2:
         raise ConstructionError(
             f"{graph2.n} rows of degree {len(row)} do not give the "
-            f"{len(graph2.edges)} contracted edges")
+            f"{edges2} contracted edges")
     passes = 0
     failures = 0
     exceptions = 0
@@ -213,7 +217,7 @@ def verify_fiber_lift(sig, i=None, j=None):
             failures += 1
     report.update({
         "mode": "exhaustive",
-        "contracted_edges": len(graph2.edges),
+        "contracted_edges": edges2,
         "liftable": pairs_from_row(graph2.n, passes),
         "blocked_by_degenerate_meet": pairs_from_row(graph2.n, failures),
         "exceptions_to_dichotomy": pairs_from_row(graph2.n, exceptions),

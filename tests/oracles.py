@@ -8,14 +8,18 @@ through row-reduced subspaces.  The production paths (the point ids of
 `constructions.projective_points`, `constructions.slot_hyperplanes`,
 `constructions.orbit_class` and the point permutations) are checked
 against them, and `permute_slots` relabels a flag's slots for
-`constructions.slot_permutation_vertex_map`.
+`constructions.slot_permutation_vertex_map`.  `key_index` finds a
+class graph's vertices by their flags' rref keys, apart from the point
+forms the graph is keyed by.
 
 `classify_pairs` gives both readings of adjacency on every pair of a
 flag list, the census that `constructions.orbit_census` reads off one
 row.  `mask_is_automorphism` compares a permutation's image of each
 neighborhood with the target's as n-bit masks, the oracle of
 `autgroup.is_automorphism`, and `brute_force_order` counts
-automorphisms with it over every vertex permutation.  `complete_graph`,
+automorphisms with it over every vertex permutation.
+`chain_contains` sifts a permutation through a `StabChain` and
+`chain_generators` lists its strong generators.  `complete_graph`,
 `cycle_graph` and `path_graph` are the small reference graphs;
 `canonical_json` is the compact sorted rendering that report digests
 are taken over.
@@ -135,6 +139,11 @@ def permute_slots(flag, delta):
                      check=False)
 
 
+def key_index(graph):
+    """Each vertex of a class graph under its flag's rref key."""
+    return {flag.key(): v for v, flag in enumerate(graph.vertices)}
+
+
 @dataclass
 class PairCensus:
     """Dual classification of every unordered pair of a flag list."""
@@ -202,6 +211,18 @@ def mask_is_automorphism(adjlist, perm, masks=None):
         if img != masks[perm[v]]:
             return False
     return True
+
+
+def chain_contains(chain, g):
+    """Whether the permutation g sifts to the identity through a
+    `StabChain`, that is, lies in the group it holds."""
+    h, _ = chain.strip(tuple(g))
+    return h == chain.identity
+
+
+def chain_generators(chain):
+    """The strong generators of a `StabChain`: those of its first level."""
+    return list(chain.gens[0]) if chain.gens else []
 
 
 def brute_force_order(adjlist):

@@ -27,8 +27,9 @@ from opgraphs.autgroup import (
     refine_colors,
 )
 from opgraphs.graphs import johnson_graph, petersen_graph
-from tests.oracles import (brute_force_order, complete_graph, cycle_graph,
-                           mask_is_automorphism, path_graph)
+from tests.oracles import (brute_force_order, chain_contains, chain_generators,
+                           complete_graph, cycle_graph, mask_is_automorphism,
+                           path_graph)
 
 
 def perms(n):
@@ -202,7 +203,7 @@ def test_stabchain_symmetric_group():
         # membership: any product of transpositions is inside
         p = list(range(n))
         rng.shuffle(p)
-        assert chain.contains(tuple(p))
+        assert chain_contains(chain, p)
 
 
 def test_stabchain_membership_boundary():
@@ -210,8 +211,8 @@ def test_stabchain_membership_boundary():
     chain = StabChain(4)
     chain.close([(1, 0, 2, 3), (0, 2, 1, 3)])
     assert chain.order() == 6
-    assert chain.contains((2, 0, 1, 3))
-    assert not chain.contains((0, 1, 3, 2))
+    assert chain_contains(chain, (2, 0, 1, 3))
+    assert not chain_contains(chain, (0, 1, 3, 2))
     residue, _ = chain.strip((0, 1, 3, 2))
     assert residue != chain.identity
     residue, _ = chain.strip((2, 0, 1, 3))
@@ -221,8 +222,8 @@ def test_stabchain_membership_boundary():
 def test_stabchain_trivial_group():
     chain = StabChain(5)
     assert chain.order() == 1
-    assert chain.contains(identity_perm(5))
-    assert not chain.contains((1, 0, 2, 3, 4))
+    assert chain_contains(chain, identity_perm(5))
+    assert not chain_contains(chain, (1, 0, 2, 3, 4))
 
 
 def test_refine_colors_separates_degrees():
@@ -283,7 +284,8 @@ def test_stabchain_matches_bfs_closure(group):
     assert known.order() == unreached.order() == whole.order() == len(elements)
     again = StabChain(n, known_order=len(elements))
     again.close(gens)
-    assert (again.base, again.generators()) == (known.base, known.generators())
+    assert ((again.base, chain_generators(again))
+            == (known.base, chain_generators(known)))
     for chain in (plain, stopped, known, unreached, whole):
         # orbits hold inverse transversal elements: u_x^-1 sends x to
         # the base point and fixes the earlier base points
@@ -291,9 +293,9 @@ def test_stabchain_matches_bfs_closure(group):
             for x, t in tr.items():
                 assert t[x] == chain.base[l]
                 assert all(t[b] == b for b in chain.base[:l])
-        assert all(chain.contains(g) for g in elements)
+        assert all(chain_contains(chain, g) for g in elements)
         for p in probes:
-            assert chain.contains(p) == (p in elements)
+            assert chain_contains(chain, p) == (p in elements)
 
 
 def refine_to_fixpoint(adjlist, colors):
@@ -419,6 +421,6 @@ def test_known_group_chain_prunes_without_moving_the_order(graph):
     for closed in (StabChain(n), StabChain(n, base=group.base)):
         closed.close(gens)
         assert closed.order() == added.order() == want
-        assert all(closed.contains(g) for g in added.generators())
-        assert all(added.contains(g) for g in closed.generators())
+        assert all(chain_contains(closed, g) for g in chain_generators(added))
+        assert all(chain_contains(added, g) for g in chain_generators(closed))
     assert closed.base == list(group.base)

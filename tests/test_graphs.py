@@ -16,7 +16,7 @@ from opgraphs.graphs import (
     pair_complement_map,
     petersen_graph,
 )
-from opgraphs.spectral import adjacency_slots, enumerate_class
+from opgraphs.spectral import adjacency_slots, contract, enumerate_class
 from opgraphs.starfield import galois_field
 from tests.conftest import signature
 from tests.oracles import complete_graph, cycle_graph, path_graph
@@ -175,8 +175,35 @@ def test_avoiding_components_are_the_eigenspace_blocks(flagship_graph):
     comps = flagship_graph.avoiding_components(2)
     blocks = flagship_graph.eigenspace_blocks(2)
     assert len(blocks) == 63
-    assert all(len(vs) == 6 for vs in blocks.values())
-    assert comps == tuple(sorted(tuple(sorted(vs)) for vs in blocks.values()))
+    assert all(len(vs) == 6 for vs in blocks)
+    assert comps == blocks
+
+
+def _grouped(keys):
+    groups = {}
+    for v, key in enumerate(keys):
+        groups.setdefault(key, set()).add(v)
+    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+
+
+def test_form_partitions_match_the_flags(flagship_graph):
+    # fibers and blocks are read off the point forms; the oracles group
+    # the flags by their contraction's and their slot space's rref keys
+    g = flagship_graph
+    for i, j in permutations(range(3), 2):
+        assert g.fiber_partition(i, j) == _grouped(
+            contract(flag, i, j).key() for flag in g.vertices)
+    for i in range(3):
+        assert g.eigenspace_blocks(i) == _grouped(
+            flag.spaces[i].rows for flag in g.vertices)
+
+
+def test_fiber_partition_refuses_what_contraction_refuses(flagship_graph,
+                                                          grassmann_graph):
+    with pytest.raises(ValueError, match="two distinct slots"):
+        flagship_graph.fiber_partition(1, 1)
+    with pytest.raises(ValueError, match="leaves no class"):
+        grassmann_graph.fiber_partition(0, 1)
 
 
 def test_flagship_graph_is_connected(flagship_graph):

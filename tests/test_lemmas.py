@@ -25,6 +25,7 @@ from opgraphs.lemmas import (
 from opgraphs.spectral import adjacency_slots, contract, coordinate_flag
 from opgraphs.starfield import QI, galois_field
 from tests.conftest import signature
+from tests.oracles import key_index
 
 
 def test_move_equivalence_sampled_over_the_rationals(qi_sig):
@@ -82,7 +83,8 @@ def all_edges_lift_counts(graph, i, j):
     of the one-row count of `verify_fiber_lift`."""
     sig = graph.vertices[0].signature
     graph2 = LabeledGraph.build(sig.contracted(i, j))
-    owner = [graph2.index[contract(flag, i, j).key()] for flag in graph.vertices]
+    index = key_index(graph2)
+    owner = [index[contract(flag, i, j).key()] for flag in graph.vertices]
     lifted = {tuple(sorted((owner[u], owner[v]))) for u, v in graph.edges}
     counts = Counter(contracted_edges=len(graph2.edges))
     for u, v in graph2.edges:
