@@ -1,13 +1,15 @@
 """Graph automorphism groups via individualization and refinement.
 
 Vertices are 0..n-1 and graphs enter as adjacency lists (tuple of
-sorted neighbor tuples).  The search refines vertex colors with the
-iterated neighborhood color multiset, individualizes inside the
-smallest cell, and prunes with refinement traces plus the orbits of the
-automorphisms found so far.  Refinement after an individualization
-recounts only the arcs out of the cells that just split, and gives
-exactly the coloring of a full recount.  A candidate permutation is
-accepted only if it maps each vertex's neighborhood onto its image's.
+sorted neighbor tuples).  Closed twins are quotiented out first, and
+their symmetric groups multiplied back in.  The search refines vertex
+colors with the iterated neighborhood color multiset, individualizes
+inside the smallest cell, and prunes with refinement traces plus the
+orbits of the automorphisms found so far.  Refinement after an
+individualization recounts only the arcs out of the cells that just
+split, and gives exactly the coloring of a full recount.  A candidate
+permutation is accepted only if it maps each vertex's neighborhood
+onto its image's.
 The group order is read off the search tree: the product, over the
 first path, of the orbit length of each individualized vertex under the
 automorphisms fixing the ones before it (McKay, "Practical graph
@@ -345,9 +347,113 @@ class AutomorphismGroup:
         return list(self._generators)
 
 
+def twin_classes(adjlist):
+    """The closed-twin classes: vertices with equal closed neighborhoods
+    N[v], each class sorted, the classes ordered by least member.
+
+    Vertices are grouped by degree and the hash of N[v], then each group
+    is split by comparing the neighborhoods themselves, so at most one
+    group's distinct neighborhoods are held at a time.
+    """
+    groups = defaultdict(list)
+    for v, nbrs in enumerate(adjlist):
+        groups[len(nbrs), hash(_closed_neighborhood(adjlist, v))].append(v)
+    classes = []
+    for group in groups.values():
+        if len(group) == 1:
+            classes.append(group)
+            continue
+        split = {}
+        for v in group:
+            split.setdefault(_closed_neighborhood(adjlist, v), []).append(v)
+        classes.extend(split.values())
+    return sorted(classes)
+
+
+def _closed_neighborhood(adjlist, v):
+    return tuple(sorted((v, *adjlist[v])))
+
+
 def automorphism_group(adjlist, known_generators=(), known_order=None,
                        node_budget=NODE_BUDGET):
     """Generators and exact order of the automorphism group.
+
+    Closed twins (`twin_classes`) are interchangeable, so Aut(G) is the
+    product of the symmetric groups on the classes, extended by the
+    automorphisms of the quotient Q on the classes that keep class
+    sizes (McKay & Piperno, "Practical graph isomorphism, II", 2014).
+    Without twins G is searched as it is.  Otherwise the known
+    generators are verified on G, and Q, colored by class size, is
+    searched seeded with their actions on the classes.  Each generator
+    found on Q is lifted by mapping the members of a class onto those
+    of its image in sorted order; each class T of two or more adds the
+    transposition of its two least members, and the |T|-cycle when
+    |T| >= 3.  The base is the least member of each class on Q's base,
+    with Q's orbit length times |T|, then every class's other members
+    but its last, with orbit lengths counting down, so the order is
+    |Aut(Q)| times the product of the |T|!.  The known generators are
+    closed into a chain on that base, as in the search, for
+    `known_orbit_sizes`, and `nodes` counts Q's search nodes.
+
+    The known generators come first among the returned ones, which
+    generate the whole group.  Returns an AutomorphismGroup.
+    """
+    n = len(adjlist)
+    adjlist = tuple(tuple(sorted(u)) for u in adjlist)
+    known = [tuple(g) for g in known_generators]
+    classes = twin_classes(adjlist)
+    if len(classes) == n:
+        return _search(adjlist, [0] * n, known, known_order, node_budget)
+    if not all(is_automorphism(adjlist, g) for g in known):
+        raise ValueError("known generator is not an automorphism")
+    owner = [0] * n
+    for i, T in enumerate(classes):
+        for v in T:
+            owner[v] = i
+    quotient = [tuple(sorted({owner[u] for u in adjlist[T[0]]} - {i}))
+                for i, T in enumerate(classes)]
+    sizes = [len(T) for T in classes]
+    images = [tuple(owner[g[T[0]]] for T in classes) for g in known]
+    # refinement ranks the sizes into colors
+    q = _search(quotient, sizes, images, None, node_budget)
+
+    lifted = []
+    for h in q.generators()[len(images):]:
+        g = [0] * n
+        for T, i in zip(classes, h):
+            # equal sizes: the search keeps its initial coloring
+            for v, w in zip(T, classes[i], strict=True):
+                g[v] = w
+        lifted.append(tuple(g))
+    twins = []
+    for T in classes:
+        if len(T) >= 2:
+            g = list(range(n))
+            g[T[0]], g[T[1]] = T[1], T[0]
+            twins.append(tuple(g))
+        if len(T) >= 3:
+            g = list(range(n))
+            for v, w in zip(T, T[1:] + T[:1]):
+                g[v] = w
+            twins.append(tuple(g))
+
+    base = [classes[i][0] for i in q.base]
+    orbit_sizes = [k * sizes[i] for i, k in zip(q.base, q.orbit_sizes)]
+    on_base = set(q.base)
+    for i, T in enumerate(classes):
+        rest = T[1:] if i in on_base else T
+        base.extend(rest[:-1])
+        orbit_sizes.extend(range(len(rest), 1, -1))
+    known_chain = StabChain(n, known_order, base=base)
+    known_chain.close(known)
+    return AutomorphismGroup(base, orbit_sizes,
+                             [len(tr) for tr in known_chain.orbits],
+                             known + lifted + twins, q.nodes)
+
+
+def _search(adjlist, colors, known, known_order, node_budget):
+    """The search of `automorphism_group` from an initial coloring,
+    over the automorphisms that keep it.
 
     The first path (leftmost descent) fixes the base, the first leaf
     and the trace.  Its levels are then finished deepest first: level
@@ -360,19 +466,16 @@ def automorphism_group(adjlist, known_generators=(), known_order=None,
     orbit under the stabilizer of base[:d], and the order is the
     product of these orbit lengths.
 
-    Optional known automorphisms are verified and closed into a
-    stabilizer chain on the search base, stopping at `known_order` if
-    given (exact Schreier-Sims without it).  Level d merges the chain's
-    strong generators that fix base[:d], so no sibling in the orbit of
-    an earlier one under the known stabilizer is searched.  Every
-    merged element is a product of verified automorphisms fixing
-    base[:d], so a `known_order` below the truth only prunes less and
-    never changes the order.  The known generators come first among
-    the returned ones, which generate the whole group.  Returns an
-    AutomorphismGroup.
+    The known automorphisms, which must keep `colors`, are verified and
+    closed into a stabilizer chain on the search base, stopping at
+    `known_order` if given (exact Schreier-Sims without it).  Level d
+    merges the chain's strong generators that fix base[:d], so no
+    sibling in the orbit of an earlier one under the known stabilizer
+    is searched.  Every merged element is a product of verified
+    automorphisms fixing base[:d], so a `known_order` below the truth
+    only prunes less and never changes the order.
     """
     n = len(adjlist)
-    adjlist = tuple(tuple(sorted(u)) for u in adjlist)
     nodes = 0
 
     def count_node():
@@ -384,7 +487,7 @@ def automorphism_group(adjlist, known_generators=(), known_order=None,
     # the leftmost descent, kept level by level
     path = []
     first_trace = []
-    colors = refine_colors(adjlist, [0] * n)
+    colors = refine_colors(adjlist, colors)
     count_node()
     while (cell := _target_cell(colors)) is not None:
         path.append((colors, cell))
@@ -394,7 +497,6 @@ def automorphism_group(adjlist, known_generators=(), known_order=None,
     base = [min(cell) for _, cell in path]
     first_leaf_inv = inverse(tuple(_leaf_order(colors)))
 
-    known = [tuple(g) for g in known_generators]
     if not all(is_automorphism(adjlist, g) for g in known):
         raise ValueError("known generator is not an automorphism")
     # only the identity automorphism fixes the whole base, so the chain

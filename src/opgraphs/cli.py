@@ -361,11 +361,7 @@ def cmd_automorphisms(args):
     results = {"vertex_count": graph.n,
                "edge_count": sum(map(len, graph.adjacency())) // 2}
     try:
-        if args.compare_induced:
-            group, gens = induced_subgroup(graph, node_budget=args.budget)
-        else:
-            group = automorphism_group(graph.adjacency(),
-                                       node_budget=args.budget)
+        group, gens = induced_subgroup(graph, node_budget=args.budget)
     except BudgetExceededError as e:
         return _budget_exhausted(config, results, args, e)
     aut = group.order()
@@ -576,6 +572,9 @@ def main(argv=None):
     """
     start = time.time()
     command = out = None
+    # n! of a complete class graph outgrows the default 4300 digits
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         command, out = args.command, args.out

@@ -8,6 +8,7 @@ cross-checked against an independent exhaustive counter.
 import random
 from collections import Counter
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from opgraphs.autgroup import (
     _target_cell,
     is_automorphism,
     refine_colors,
+    twin_classes,
 )
 from opgraphs.graphs import johnson_graph, petersen_graph
 from tests.oracles import (brute_force_order, chain_contains, chain_generators,
@@ -179,6 +181,61 @@ def test_search_order_matches_brute_force(adjlist, data):
     auts = [p for p in permutations(range(n)) if is_automorphism(adjlist, p)]
     known = data.draw(st.lists(st.sampled_from(auts), max_size=4))
     seeded = automorphism_group(adjlist, known_generators=known)
+    assert seeded.order() == want
+    assert seeded.generators()[:len(known)] == known
+
+
+@st.composite
+def twin_blowups(draw):
+    """A graph on at most 5 vertices with each vertex replaced by a
+    clique of 1-4 closed twins, at most 8 vertices in all so that the
+    exhaustive count stays cheap, relabeled by a drawn permutation."""
+    k = draw(st.integers(1, 5))
+    sizes = []
+    for v in range(k):
+        room = 8 - sum(sizes) - (k - 1 - v)
+        sizes.append(draw(st.integers(1, min(4, room))))
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges = set(draw(st.lists(st.sampled_from(pairs), unique=True))
+                if pairs else [])
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    n = len(block)
+    label = draw(perms(n))
+    adj = [set() for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if block[u] == block[v] or (block[u], block[v]) in edges:
+                adj[label[u]].add(label[v])
+                adj[label[v]].add(label[u])
+    return tuple(tuple(sorted(a)) for a in adj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(twin_blowups(), st.data())
+def test_twin_quotient_matches_backtracking(adjlist, data):
+    n = len(adjlist)
+    closed = {}
+    for v in range(n):
+        closed.setdefault(tuple(sorted((v, *adjlist[v]))), []).append(v)
+    assert twin_classes(adjlist) == sorted(closed.values())
+    want = backtracking_order(adjlist)
+    group = automorphism_group(adjlist)
+    assert group.order() == prod(group.orbit_sizes) == want
+    gens = group.generators()
+    assert all(is_automorphism(adjlist, g) for g in gens)
+    # the base and its orbit lengths are a stabilizer chain's
+    chain = StabChain(n, base=group.base)
+    chain.close(gens)
+    assert chain.order() == want
+    assert chain.base == list(group.base)
+    assert [len(tr) for tr in chain.orbits] == list(group.orbit_sizes)
+    # seeded, the known orbits are the known generators' own chain
+    known = data.draw(st.lists(st.sampled_from(gens), max_size=3)
+                      if gens else st.just([]))
+    seeded = automorphism_group(adjlist, known_generators=known)
+    own = StabChain(n)
+    own.close(known)
+    assert prod(seeded.known_orbit_sizes) == own.order()
     assert seeded.order() == want
     assert seeded.generators()[:len(known)] == known
 

@@ -10,14 +10,14 @@ import json
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from math import prod
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opgraphs import autgroup, constructions
+from opgraphs import autgroup, cli, constructions
 from opgraphs.autgroup import StabChain, is_automorphism
 from opgraphs.cli import LEMMAS, _resolve, _signature, build_parser, main
 from opgraphs.graphs import LabeledGraph
@@ -169,12 +169,12 @@ GRASSMANN_INDUCED = ("--fixture", str(FIXTURES / "grassmann.json"),
 # SHA-256 of `automorphisms --generators-out` files, pinned so that a
 # faster chain or refinement cannot change which generators are found
 GENERATOR_FILES = [
-    (GF4_22, "52ca8e0cf40a6a6d9aa87885422498771b92c338da8662d93aab110f94904629"),
+    (GF4_22, "809fb6088feedea97aa956e63405dbf300b0789b8c2143ad9750f92145639c5a"),
     (FLAGSHIP_INDUCED,
      "461d85e13a16ebb02ba05dc492256a3818e0e942a98db504818d31d00f7334d5"),
-    (K40, "b9f37b68f7681f15cb344648cd8f57cab9af63a0da6e042241c1986d72ea3d50"),
+    (K40, "80b320106698f4576a364f37b24ef2cf321eab7fdbcff197bd9159a9d58f7c0e"),
     (GRASSMANN_INDUCED,
-     "3e09bb0b955e88b43ad467548d739104b81ae5d6b9617a3e70ed798729fb9076"),
+     "0040e2b4e4ec81d2a9e6920d8c6b484d2beca9fcf870f2e8120ba3aacd3a3c87"),
 ]
 GENERATOR_IDS = ["GF(4)^4 2,2", "flagship compare-induced", "K40",
                  "grassmann compare-induced"]
@@ -212,12 +212,13 @@ def test_generator_files_generate_the_reported_group(capsys, tmp_path, argv):
 
 
 # the search tree's shape, pinned so that a faster refinement cannot
-# change it: K_n costs n(n+1)/2 nodes, one per (level, sibling) pair
+# change it: K_n is one class of closed twins, so its quotient is one
+# vertex and costs one node
 SEARCH_TREES = [
-    (K40, 820, list(range(40, 1, -1))),
-    (GF4_22, 37, [240, 4, 2, 9, 2, 3]),
+    (K40, 1, list(range(40, 1, -1))),
+    (GF4_22, 7, [240, 4, 2, 9, 2, 3]),
     (FLAGSHIP_INDUCED, 7, [378, 2, 3, 4, 2, 4]),
-    (GRASSMANN_INDUCED, 1720, list(range(63, 1, -1))),
+    (GRASSMANN_INDUCED, 1, list(range(63, 1, -1))),
 ]
 
 
@@ -229,6 +230,32 @@ def test_search_trees_are_pinned(capsys, argv, nodes, orbits):
     assert code == 0
     assert rep["results"]["search_nodes"] == nodes
     assert rep["results"]["first_path_orbits"] == orbits
+
+
+def test_orders_past_the_int_string_limit_are_reported(capsys, monkeypatch):
+    # 2000! has 5736 digits, past the default limit of 4300 on int-to-str
+    # conversion; K2107 and K3264 have such orders
+    orbits = range(2000, 1, -1)
+    real = cli.induced_subgroup
+
+    def huge(graph, node_budget):
+        group, gens = real(graph, node_budget=node_budget)
+        return autgroup.AutomorphismGroup(
+            group.base, orbits, group.known_orbit_sizes, group.generators(),
+            group.nodes), gens
+
+    monkeypatch.setattr(cli, "induced_subgroup", huge)
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+    try:
+        code, rep = run(capsys, "automorphisms", *K40)
+        assert code == 0
+        assert int(rep["results"]["automorphism_order"]) == factorial(2000)
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(saved)
 
 
 def test_automorphisms_report_search_counters(capsys):
@@ -247,12 +274,12 @@ def test_automorphisms_report_search_counters(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("automorphisms", *K40),
+    ("automorphisms", *GF4_22),
     ("automorphisms", *FLAGSHIP_INDUCED),
     ("automorphisms", "--graph", "petersen"),
     ("verify-lemma", "--fixture", str(FIXTURES / "flagship.json"),
      "--lemma", "johnson-tau"),
-], ids=["K40", "flagship compare-induced", "petersen", "johnson-tau"])
+], ids=["GF(4)^4 2,2", "flagship compare-induced", "petersen", "johnson-tau"])
 def test_budget_errors_echo_the_config_and_the_work(capsys, argv):
     code, done = run(capsys, *argv)
     assert code == 0
