@@ -382,9 +382,10 @@ def automorphism_group(adjlist, known_generators=(), known_order=None,
     product of the symmetric groups on the classes, extended by the
     automorphisms of the quotient Q on the classes that keep class
     sizes (McKay & Piperno, "Practical graph isomorphism, II", 2014).
-    Without twins G is searched as it is.  Otherwise the known
-    generators are verified on G, and Q, colored by class size, is
-    searched seeded with their actions on the classes.  Each generator
+    Without twins G is searched as it is.  Otherwise each known
+    generator must map every class into one class, in O(n), and Q,
+    colored by class size, is searched seeded with their actions on the
+    classes, which it verifies: no arc of G is read.  Each generator
     found on Q is lifted by mapping the members of a class onto those
     of its image in sorted order; each class T of two or more adds the
     transposition of its two least members, and the |T|-cycle when
@@ -404,12 +405,16 @@ def automorphism_group(adjlist, known_generators=(), known_order=None,
     classes = twin_classes(adjlist)
     if len(classes) == n:
         return _search(adjlist, [0] * n, known, known_order, node_budget)
-    if not all(is_automorphism(adjlist, g) for g in known):
-        raise ValueError("known generator is not an automorphism")
     owner = [0] * n
     for i, T in enumerate(classes):
         for v in T:
             owner[v] = i
+    # the search verifies that the images permute the classes, so each
+    # class then goes onto one of its own size
+    if not all(sorted(g) == list(range(n)) and all(
+            owner[g[v]] == owner[g[T[0]]] for T in classes for v in T)
+            for g in known):
+        raise ValueError("known generator is not an automorphism")
     quotient = [tuple(sorted({owner[u] for u in adjlist[T[0]]} - {i}))
                 for i, T in enumerate(classes)]
     sizes = [len(T) for T in classes]

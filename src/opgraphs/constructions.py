@@ -6,11 +6,12 @@ every slot, and the dimension-preserving slot permutations.  Over a
 finite field each semilinear map is one permutation of the points of
 PG(n-1, q^2), and a flag is the tuple of its slots' sorted point ids,
 so a finite class is enumerated as one certified orbit (`orbit_class`)
-and the maps act on vertices by lookup.  The isometry generators are
-certified on the same points (`unitary_generators`), modulo the norm-one
-scalars, which fix every subspace.  A hyperplane of a slot is the
-sorted ids of its points, read off one incidence table per field and
-dimension (`slot_hyperplanes`); the class graph keys its edges on them.
+and the maps act on vertices by lookup.  Four isometries in closed
+form (`unitary_generators`) are certified on the same points to
+generate U(n,q) modulo the norm-one scalars, which fix every subspace.
+A hyperplane of a slot is the sorted ids of its points, read off one
+incidence table per field and dimension (`slot_hyperplanes`); the class
+graph keys its edges on them.
 The group they generate is closed on the chain of the automorphism
 search they seed and certified against its closed-form order.  The
 isometries' transitive action, certified by the orbit walk, reduces a
@@ -28,7 +29,7 @@ from itertools import product
 from math import factorial, prod
 
 from .autgroup import NODE_BUDGET, StabChain, automorphism_group
-from .linalg import Matrix, Subspace, herm_form, matvec
+from .linalg import Matrix, Subspace, matvec
 from .spectral import (ADJACENT, RANK_ONLY, RANK_OTHER, EigenFlag,
                        SdPermutation, coordinate_flag, enumerate_class,
                        pair_verdict)
@@ -44,12 +45,6 @@ def is_isometry(field, M: Matrix) -> bool:
     return (M.conj_transpose() @ M) == Matrix.identity(field, n)
 
 
-def _norm_one_vectors(field, n):
-    """Vectors v with h(v, v) = 1, in lexicographic order."""
-    return [v for v in product(field.elements(), repeat=n)
-            if herm_form(field, v, v) == field.one]
-
-
 def unitary_order(q, n):
     """|U(n,q)| = q^(n(n-1)/2) * prod_{i=1..n} (q^i - (-1)^i)  (Taylor 1992)."""
     out = q ** (n * (n - 1) // 2)
@@ -58,49 +53,61 @@ def unitary_order(q, n):
     return out
 
 
-def unitary_group(field, n):
-    """All isometries of the standard form on field^n, lazily in row order.
+def _named_isometries(field, n):
+    """diag(zeta, 1, ..., 1) with zeta the first element of order q+1,
+    the n-cycle, the transposition (0 1), and a block B on the leading
+    coordinates (Taylor 1992): [[a, b], [-conj b, conj a]], N(a) the
+    first norm outside {0, 1} and N(b) = 1 - N(a), so B* B = I; U(2,2)
+    is monomial, so for q = 2, [[1, 1, 1], [1, w, w^2], [1, w^2, w]]."""
+    zero, one, mul, conj = field.zero, field.one, field.mul, field.conj
+    els, e = field.elements(), Matrix.identity(field, n).rows
 
-    Rows grow depth-first over the norm-one vectors, each new row
-    orthogonal to the earlier ones.
-    """
-    if not field.is_finite:
-        raise ConstructionError("isometry enumeration needs a finite star-field")
+    def order(x):
+        k, y = 1, x
+        while y != one:
+            k, y = k + 1, mul(y, x)
+        return k
 
-    def grow(rows, candidates):
-        if len(rows) == n:
-            yield Matrix(field, rows)
-            return
-        for v in candidates:
-            yield from grow(rows + (v,), [
-                c for c in candidates if herm_form(field, c, v) == field.zero])
-
-    return grow((), _norm_one_vectors(field, n))
+    zeta = next(x for x in els if x != zero and order(x) == field.q + 1)
+    if field.q == 2:
+        w = next(x for x in els if x not in (zero, one))
+        block = [[one, one, one], [one, w, mul(w, w)], [one, mul(w, w), w]]
+    else:
+        norm = {x: mul(x, conj(x)) for x in els}
+        a = next(x for x in els if norm[x] not in (zero, one))
+        b = next(x for x in els if norm[x] == field.sub(one, norm[a]))
+        block = [[a, b], [field.neg(conj(b)), conj(a)]]
+    k = len(block)
+    D = ((zeta, *e[0][1:]), *e[1:])
+    C = e[1:] + e[:1]
+    T = (e[1], e[0], *e[2:])
+    B = [(*row, *e[i][k:]) for i, row in enumerate(block)] + [*e[k:]]
+    return tuple(Matrix(field, rows) for rows in (D, C, T, B))
 
 
 @lru_cache(maxsize=None)
 def unitary_generators(field, n):
-    """A small deterministic generating set of U(n,q) modulo its norm-one
-    scalars: the isometries in row order that enlarge the group they
-    induce on the points of PG(n-1, q^2), certified against |PU(n,q)|.
-    The scalars fix every subspace, so the classes use nothing more."""
-    rows, ids = projective_points(field, n)
-    # the kernel of the point action is exactly the q+1 norm-one
-    # scalars, so the isometries induce at most |PU(n,q)|; below it the
-    # chain closes fully, so `close` reports growth exactly as without
-    # the stop
+    """The `_named_isometries`, each checked to be an isometry (an orbit
+    of a class flag stays in the class only under isometries), certified
+    to generate U(n,q) modulo its norm-one scalars, which fix every
+    subspace: their chain on the points of PG(n-1, q^2), an action whose
+    kernel is those scalars, must reach |PU(n,q)|."""
+    if not field.is_finite:
+        raise ConstructionError("the isometry generators need a finite star-field")
+    if n < 3:
+        raise ConstructionError(f"the isometry generators need n >= 3, got {n}")
+    gens = _named_isometries(field, n)
+    for M in gens:
+        if not is_isometry(field, M):
+            raise ConstructionError(f"generator {M!r} is not an isometry")
     target = unitary_order(field.q, n) // (field.q + 1)
-    chain = StabChain(len(rows), known_order=target)
-    # the isometries share rows: row r gives coordinate r · v of each image
-    column = lru_cache(maxsize=None)(lambda r: matvec(field, rows, r))
-    gens = []
-    for M in unitary_group(field, n):
-        if chain.close([tuple(ids[w] for w in zip(*map(column, M.rows)))]):
-            gens.append(M)
-            if chain.order() == target:
-                return tuple(gens)
-    raise ConstructionError(
-        f"isometries generate order {chain.order()}, expected {target}")
+    chain = StabChain(len(projective_points(field, n)[0]), known_order=target)
+    id_map = field.automorphisms()[0]
+    chain.close([point_permutation(field, M, id_map) for M in gens])
+    if chain.order() != target:
+        raise ConstructionError(
+            f"isometries generate order {chain.order()}, expected {target}")
+    return gens
 
 
 def class_size(sig):
@@ -153,16 +160,6 @@ def point_permutation(field, M: Matrix, phi):
         return tuple(ids[M.apply(tuple(map(phi, v)))] for v in rows)
     except KeyError:
         raise ConstructionError(f"{M!r} sends a point to zero") from None
-
-
-def _isometries(field, n):
-    """`unitary_generators`, each checked to be an isometry: an orbit
-    of a class flag stays in the class only under isometries."""
-    gens = unitary_generators(field, n)
-    for M in gens:
-        if not is_isometry(field, M):
-            raise ConstructionError(f"generator {M!r} is not an isometry")
-    return gens
 
 
 def _slot_points(S, index):
@@ -228,7 +225,7 @@ def orbit_class(sig):
         raise ValueError("class enumeration requires a finite backend")
     rows, _ = projective_points(field, n)
     seen = _orbit(point_form(coordinate_flag(sig)), field,
-                  _isometries(field, n))
+                  unitary_generators(field, n))
     closed = class_size(sig)
     if len(seen) != closed:
         raise ConstructionError(

@@ -4,13 +4,15 @@
 row echelon basis, and `subspaces_within` every subspace of a given
 one; `orthogonal_decompositions` enumerates a finite class slot by slot
 inside the running orthocomplement; `semilinear_image` maps a flag
-through row-reduced subspaces.  The production paths (the point ids of
-`constructions.projective_points`, `constructions.slot_hyperplanes`,
-`constructions.orbit_class` and the point permutations) are checked
-against them, and `permute_slots` relabels a flag's slots for
-`constructions.slot_permutation_vertex_map`.  `key_index` finds a
-class graph's vertices by their flags' rref keys, apart from the point
-forms the graph is keyed by.
+through row-reduced subspaces; `unitary_group` lists every isometry
+in row order over the `norm_one_vectors`, and holds the named
+generators of `constructions.unitary_generators`.  The production
+paths (the point ids of `constructions.projective_points`,
+`constructions.slot_hyperplanes`, `constructions.orbit_class` and the
+point permutations) are checked against them, and `permute_slots`
+relabels a flag's slots for `constructions.slot_permutation_vertex_map`.
+`key_index` finds a class graph's vertices by their flags' rref keys,
+apart from the point forms the graph is keyed by.
 
 `classify_pairs` gives both readings of adjacency on every pair of a
 flag list, the census that `constructions.orbit_census` reads off one
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from opgraphs.graphs import SimpleGraph
-from opgraphs.linalg import Matrix, Subspace, relative_orthocomplement
+from opgraphs.linalg import (Matrix, Subspace, herm_form,
+                             relative_orthocomplement)
 from opgraphs.spectral import ADJACENT, RANK_OTHER, EigenFlag, pair_verdict
 
 
@@ -137,6 +140,31 @@ def permute_slots(flag, delta):
     return EigenFlag(flag.signature,
                      [flag.spaces[delta(i)] for i in range(flag.signature.k)],
                      check=False)
+
+
+def norm_one_vectors(field, n):
+    """Vectors v with h(v, v) = 1, in lexicographic order."""
+    return [v for v in product(field.elements(), repeat=n)
+            if herm_form(field, v, v) == field.one]
+
+
+def unitary_group(field, n):
+    """All isometries of the standard form on field^n, lazily in row order.
+
+    Rows grow depth-first over the norm-one vectors, each new row
+    orthogonal to the earlier ones.
+    """
+    _require_finite(field)
+
+    def grow(rows, candidates):
+        if len(rows) == n:
+            yield Matrix(field, rows)
+            return
+        for v in candidates:
+            yield from grow(rows + (v,), [
+                c for c in candidates if herm_form(field, c, v) == field.zero])
+
+    return grow((), norm_one_vectors(field, n))
 
 
 def key_index(graph):

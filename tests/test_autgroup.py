@@ -6,7 +6,7 @@ cross-checked against an independent exhaustive counter.
 """
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import permutations
 from math import prod
 
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opgraphs import autgroup
 from opgraphs.autgroup import (
     BudgetExceededError,
     StabChain,
@@ -28,7 +29,9 @@ from opgraphs.autgroup import (
     refine_colors,
     twin_classes,
 )
-from opgraphs.graphs import johnson_graph, petersen_graph
+from opgraphs.graphs import LabeledGraph, johnson_graph, petersen_graph
+from opgraphs.starfield import galois_field
+from tests.conftest import signature
 from tests.oracles import (brute_force_order, chain_contains, chain_generators,
                            complete_graph, cycle_graph, mask_is_automorphism,
                            path_graph)
@@ -238,6 +241,71 @@ def test_twin_quotient_matches_backtracking(adjlist, data):
     assert prod(seeded.known_orbit_sizes) == own.order()
     assert seeded.order() == want
     assert seeded.generators()[:len(known)] == known
+
+
+def twin_preserving_perm(classes, rnd):
+    """A permutation that maps each twin class onto a class of the same
+    size: the classes of each size permuted, their members shuffled."""
+    g = [0] * sum(map(len, classes))
+    by_size = defaultdict(list)
+    for T in classes:
+        by_size[len(T)].append(T)
+    for same in by_size.values():
+        for T, U in zip(same, rnd.sample(same, len(same))):
+            for v, w in zip(T, rnd.sample(U, len(U))):
+                g[v] = w
+    return tuple(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(twin_blowups(), st.randoms(use_true_random=False))
+def test_twin_path_check_agrees_with_is_automorphism(adjlist, rnd):
+    # such a permutation passes the class check, so the quotient search
+    # decides it, and it must decide as the check on G does
+    g = twin_preserving_perm(twin_classes(adjlist), rnd)
+    if is_automorphism(adjlist, g):
+        group = automorphism_group(adjlist, known_generators=[g])
+        assert group.generators()[0] == g
+    else:
+        with pytest.raises(ValueError, match="not an automorphism"):
+            automorphism_group(adjlist, known_generators=[g])
+
+
+@pytest.mark.parametrize("dims", [(1, 3), (1, 2)], ids=["K40", "GF(4)^3 1,2"])
+def test_twin_path_checks_known_generators_without_reading_arcs(
+        dims, monkeypatch):
+    adj = LabeledGraph.build(
+        signature(galois_field(2, 1), ("0", "1"), dims)).adjacency()
+    rnd = random.Random(0)
+    known = [twin_preserving_perm(twin_classes(adj), rnd) for _ in range(5)]
+    assert all(is_automorphism(adj, g) for g in known)
+    sizes = []
+    real = autgroup.is_automorphism
+
+    def counted(adjlist, perm):
+        sizes.append(len(adjlist))
+        return real(adjlist, perm)
+
+    monkeypatch.setattr(autgroup, "is_automorphism", counted)
+    group = automorphism_group(adj, known_generators=known)
+    # one class of closed twins: only the one-vertex quotient is checked
+    assert sizes == [1] * len(known)
+    assert group.generators()[:len(known)] == known
+
+
+@pytest.mark.parametrize("adj, g", [
+    # N[0] = N[1] = {0, 1, 2}: the twin classes are {0, 1}, {2}, {3}
+    (((1, 2), (0, 2), (0, 1, 3), (2,)), (0, 3, 2, 1)),
+    (((1, 2), (0, 2), (0, 1, 3), (2,)), (0, 1, 2)),
+    # two twin pairs: g moves each class's least member within its
+    # class, so the quotient sees the identity, and splits both
+    (((1,), (0,), (3,), (2,)), (0, 2, 3, 1)),
+], ids=["split", "short", "split-behind-the-quotient"])
+def test_twin_path_refuses_a_generator_that_splits_a_class(adj, g):
+    assert len(twin_classes(adj)) < len(adj)
+    assert not is_automorphism(adj, g)
+    with pytest.raises(ValueError, match="not an automorphism"):
+        automorphism_group(adj, known_generators=[g])
 
 
 def test_budget_exhaustion_raises():

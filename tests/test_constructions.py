@@ -33,9 +33,7 @@ from opgraphs.constructions import (
     slot_permutation_vertex_map,
     swap_flag,
     unitary_generators,
-    unitary_group,
     unitary_order,
-    _norm_one_vectors,
 )
 from opgraphs.graphs import LabeledGraph
 from opgraphs.lemmas import _rotated_pair_flag
@@ -45,31 +43,31 @@ from opgraphs.spectral import (EigenFlag, SdPermutation, adjacency_slots,
 from opgraphs.starfield import QI, galois_field
 from tests.conftest import diag, signature
 from tests.oracles import (chain_contains, chain_generators, classify_pairs,
-                           gaussian_binomial, key_index, permute_slots,
-                           semilinear_image, subspaces, subspaces_within)
+                           gaussian_binomial, key_index, norm_one_vectors,
+                           permute_slots, semilinear_image, subspaces,
+                           subspaces_within, unitary_group)
 
+# D = diag(zeta, 1, ...), the n-cycle C, the transposition T and the
+# block B, as `constructions._named_isometries` builds them
 GEN_ROWS_U3_GF9 = (
-    ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
-    ((0, 0, 1), (0, 1, 0), (2, 0, 0)),
-    ((0, 0, 1), (0, 1, 0), (3, 0, 0)),
-    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
-    ((0, 0, 1), (4, 4, 0), (4, 8, 0)),
+    ((3, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+    ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+    ((4, 4, 0), (5, 7, 0), (0, 0, 1)),
 )
 
 GEN_ROWS_U3_GF4 = (
-    ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
-    ((0, 0, 1), (0, 1, 0), (2, 0, 0)),
-    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+    ((2, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+    ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
     ((1, 1, 1), (1, 2, 3), (1, 3, 2)),
 )
 
 GEN_ROWS_U4_GF4 = (
-    ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)),
-    ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (2, 0, 0, 0)),
-    ((0, 0, 0, 1), (0, 0, 1, 0), (0, 2, 0, 0), (1, 0, 0, 0)),
-    ((0, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0)),
-    ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0)),
-    ((0, 0, 0, 1), (1, 1, 1, 0), (1, 2, 3, 0), (1, 3, 2, 0)),
+    ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0)),
+    ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((1, 1, 1, 0), (1, 2, 3, 0), (1, 3, 2, 0), (0, 0, 0, 1)),
 )
 
 
@@ -78,13 +76,49 @@ def qi(re, im=0):
 
 
 def test_isometry_group_orders(f9):
-    assert len(_norm_one_vectors(f9, 3)) == 252
+    assert len(norm_one_vectors(f9, 3)) == 252
     assert sum(1 for _ in unitary_group(f9, 2)) == 96
     assert sum(1 for _ in unitary_group(f9, 3)) == 24192
     for m in islice(unitary_group(f9, 3), 50):
         assert is_isometry(f9, m)
-    with pytest.raises(ConstructionError):
-        unitary_group(QI, 3)
+
+
+@pytest.mark.parametrize("field, n, message", [
+    (QI, 3, "need a finite star-field"),
+    (galois_field(3, 1), 2, "need n >= 3, got 2"),
+], ids=["Q(i)", "n=2"])
+def test_unitary_generators_refuse_what_they_cannot_certify(field, n, message):
+    with pytest.raises(ConstructionError, match=message):
+        unitary_generators(field, n)
+
+
+NAMED_CASES = [(2, 1, 3), (3, 1, 3), (2, 2, 3), (5, 1, 3), (7, 1, 3),
+               (2, 1, 4), (3, 1, 4), (2, 2, 4), (2, 1, 5), (2, 1, 6)]
+
+
+@pytest.mark.parametrize("p, e, n", NAMED_CASES,
+                         ids=[f"U({n},{p ** e})" for p, e, n in NAMED_CASES])
+def test_named_isometries_certify(p, e, n):
+    # the call itself certifies the point chain at |PU(n,q)|, or raises
+    field = galois_field(p, e)
+    zero, one = field.zero, field.one
+    D, C, T, B = unitary_generators(field, n)
+    assert all(is_isometry(field, M) for M in (D, C, T, B))
+    identity = Matrix.identity(field, n).rows
+    # D = diag(zeta, 1, ...) with zeta of order q+1
+    zeta = D.rows[0][0]
+    assert D.rows[1:] == identity[1:] and D.rows[0][1:] == identity[0][1:]
+    powers = [one]
+    while (x := field.mul(powers[-1], zeta)) != one:
+        powers.append(x)
+    assert len(powers) == field.q + 1
+    # C and T permute coordinates: the n-cycle and the transposition (0 1)
+    assert C.rows == identity[1:] + identity[:1]
+    assert T.rows == (identity[1], identity[0]) + identity[2:]
+    # B is no monomial matrix, and fixes every coordinate past the third
+    assert any(sum(x != zero for x in row) > 1 for row in B.rows)
+    assert B.rows[3:] == identity[3:]
+    assert all(row[3:] == (zero,) * (n - 3) for row in B.rows[:3])
 
 
 @pytest.mark.parametrize("q, n, p, e", [
@@ -104,6 +138,9 @@ def test_isometry_generators_are_frozen_and_generate(char, n, rows, order):
     field = galois_field(char, 1)
     gens = unitary_generators(field, n)
     assert tuple(m.rows for m in gens) == rows
+    if n == 3:
+        # each named generator is one of the isometries the oracle lists
+        assert {m.rows for m in gens} <= {m.rows for m in unitary_group(field, n)}
     # independent closure: a product walk over matrices recovers the group
     ident = Matrix.identity(field, n)
     seen = {ident.rows}
@@ -208,13 +245,10 @@ def test_isometry_scan_certifies_on_projective_points(f9, monkeypatch):
 
 
 def test_isometry_scan_refuses_a_subgroup(f9, monkeypatch):
-    full = constructions.unitary_group
-
-    def monomial(field, n):
-        return (M for M in full(field, n)
-                if all(sum(x != field.zero for x in r) == 1 for r in M.rows))
-
-    monkeypatch.setattr(constructions, "unitary_group", monomial)
+    named = constructions._named_isometries
+    # D, C and T without B: the monomial isometries
+    monkeypatch.setattr(constructions, "_named_isometries",
+                        lambda field, n: named(field, n)[:3])
     unitary_generators.cache_clear()
     try:
         # 3! * 4^3 monomial isometries, 96 modulo the 4 norm-one scalars
@@ -259,10 +293,14 @@ def test_point_permutation_refuses_singular_maps(f9):
 
 def test_orbit_walk_refuses_a_generator_that_is_no_isometry(
         flagship_sig, f9, monkeypatch):
-    monkeypatch.setattr(constructions, "unitary_generators",
+    monkeypatch.setattr(constructions, "_named_isometries",
                         lambda field, n: (_shear(f9),))
-    with pytest.raises(ConstructionError, match="is not an isometry"):
-        enumerate_class(flagship_sig)
+    unitary_generators.cache_clear()
+    try:
+        with pytest.raises(ConstructionError, match="is not an isometry"):
+            enumerate_class(flagship_sig)
+    finally:
+        unitary_generators.cache_clear()
 
 
 def test_orbit_walk_refuses_to_certify_one_generator(
@@ -368,16 +406,16 @@ def test_sd_group_bookkeeping():
 def test_induced_generator_inventory(flagship_graph, flagship_groups):
     group, gens = flagship_groups
     kinds = [kind for kind, _, _ in gens]
-    assert kinds.count("isometry") == 5
+    assert kinds.count("isometry") == 4
     assert kinds.count("field-automorphism") == 1
     assert kinds.count("slot-permutation") == 2
-    assert len(gens) == 8
+    assert len(gens) == 7
     perms = [perm for _, _, perm in gens]
     for perm in perms:
         assert is_automorphism(flagship_graph.adjacency(), perm)
     # the search's generators start with the natural maps, and its chain
     # on them reaches the closed form
-    assert group.generators()[:8] == perms
+    assert group.generators()[:7] == perms
     assert prod(group.known_orbit_sizes) == 72576
 
 
@@ -400,11 +438,11 @@ def natural_closure(graph, base=()):
 
 
 @pytest.mark.parametrize("p, e, sigma, dims, order, generators, search", [
-    (3, 1, ("0", "1", "2"), (1, 1, 1), 72576, 8, True),
-    (3, 1, ("0", "1"), (1, 2), 12096, 6, True),
+    (3, 1, ("0", "1", "2"), (1, 1, 1), 72576, 7, True),
+    (3, 1, ("0", "1"), (1, 2), 12096, 5, True),
     (2, 1, ("0", "1"), (1, 2), 432, 5, True),
-    (2, 1, ("0", "1"), (1, 3), 51840, 7, True),
-    (2, 1, ("0", "1"), (2, 2), 103680, 8, True),
+    (2, 1, ("0", "1"), (1, 3), 51840, 5, True),
+    (2, 1, ("0", "1"), (2, 2), 103680, 6, True),
     (2, 2, ("0", "2"), (1, 2), 249600, 7, False),
     (2, 2, ("0", "1", "2"), (1, 1, 1), 1497600, 9, True),
 ], ids=["GF(9)^3 1,1,1", "GF(9)^3 1,2", "GF(4)^3 1,2", "GF(4)^4 1,3",

@@ -260,7 +260,7 @@ def test_type_action_classifies_every_generator_of_the_full_group(
     # found are what the class-side check is for
     report = verify_type_action(flagship_sig)
     maps = report["class_graph"]["generators"]
-    assert [m["generator"] == "search" for m in maps] == [False] * 8
+    assert [m["generator"] == "search" for m in maps] == [False] * 7
     assert {m["classified"] for m in maps} == {"permutation"}
     assert report["holds"]
     # at index > 1 the search still finds generators of its own
