@@ -79,8 +79,7 @@ class StabChain:
     """Schreier-Sims stabilizer chain.
 
     `close` sifts a generating set in and then checks the Schreier
-    generators once; called once per element, it grows the chain one
-    element at a time.
+    generators once.
 
     `orbits[l][x]` holds the inverse u_x^-1 of the transversal element
     u_x that sends base[l] to x, so sifting composes and never inverts.
@@ -95,7 +94,10 @@ class StabChain:
     set and closure stops there.
 
     `base`, when given, presets the first levels in that order; a
-    residue that fixes all of them extends the base as usual.
+    residue that fixes all of them extends the base as usual.  `strip`
+    skips the levels whose base point the residue fixes, and `order()`
+    reads a product of the orbit lengths kept up to date as orbits grow,
+    so a long preset base costs little where it is not moved.
     """
 
     def __init__(self, n, known_order=None, base=()):
@@ -107,18 +109,17 @@ class StabChain:
         self.gens_inv = []
         self.orbits = []
         self._done = []
+        self._order = 1
         for b in base:
             self._new_level(b)
 
     def order(self):
-        out = 1
-        for tr in self.orbits:
-            out *= len(tr)
-        return out
+        return self._order
 
     def _extend_orbit(self, l):
         """Grow the level-l orbit in place under the current generators."""
         tr = self.orbits[l]
+        before = len(tr)
         pairs = list(zip(self.gens[l], self.gens_inv[l]))
         frontier = list(tr)
         while frontier:
@@ -129,10 +130,14 @@ class StabChain:
                 if y not in tr:
                     tr[y] = compose(tx, g_inv)
                     frontier.append(y)
+        self._order = self._order // before * len(tr)
 
     def strip(self, g):
-        for l in range(len(self.base)):
-            x = g[self.base[l]]
+        for l, b in enumerate(self.base):
+            x = g[b]
+            if x == b:
+                # u_b is the identity
+                continue
             tr = self.orbits[l]
             if x not in tr:
                 return g, l
@@ -156,8 +161,7 @@ class StabChain:
             self.gens_inv[k].append(h_inv)
 
     def close(self, gens):
-        """Close the chain over `gens`, stopping at `known_order` if set;
-        returns True when some residue was not the identity.
+        """Close the chain over `gens`, stopping at `known_order` if set.
 
         Each generator is sifted in and the orbits its residue reaches
         are extended; no Schreier generator is checked yet.  Then, if
@@ -184,7 +188,6 @@ class StabChain:
                     self._extend_orbit(k)
         if grew:
             self._close()
-        return grew
 
     def _close(self):
         """Verify Schreier generators until the chain is consistent.

@@ -109,23 +109,12 @@ def herm_form(field, u, v):
     """h(u, v) = sum u_k conj(v_k)."""
     if len(u) != len(v):
         raise ValueError("herm_form: length mismatch")
-    conj, mul, add = field.conj, field.mul, field.add
-    acc = field.zero
-    for a, b in zip(u, v):
-        acc = add(acc, mul(a, conj(b)))
-    return acc
+    return field.herm(u, v)
 
 
 def matvec(field, rows, v):
-    mul, add = field.mul, field.add
-    out = []
-    for row in rows:
-        acc = field.zero
-        for a, b in zip(row, v):
-            if a != field.zero:
-                acc = add(acc, mul(a, b))
-        out.append(acc)
-    return tuple(out)
+    dot = field.dot
+    return tuple(dot(row, v) for row in rows)
 
 
 class Matrix:
@@ -193,27 +182,14 @@ class Matrix:
         self._check(other)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        f = self.field
-        mul, add, zero = f.mul, f.add, f.zero
+        dot = self.field.dot
         cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    if a != zero and b != zero:
-                        acc = add(acc, mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(f, out)
+        return Matrix(self.field,
+                      [[dot(row, col) for col in cols] for row in self.rows])
 
     def scale(self, c):
         mul = self.field.mul
         return Matrix(self.field, [[mul(c, x) for x in row] for row in self.rows])
-
-    def transpose(self):
-        return Matrix(self.field, list(zip(*self.rows)))
 
     def conj_transpose(self):
         conj = self.field.conj
@@ -397,26 +373,6 @@ class Subspace:
                 for u in self.rows
             ],
         )
-
-    def projection(self):
-        """Orthogonal projection onto S, as a matrix; S must be nondegenerate.
-
-        With basis rows B and Gram G[r][s] = h(b_r, b_s) the projection is
-        P = B^T conj(G)^{-1} conj(B); it is hermitian and idempotent.
-        """
-        f = self.field
-        conj = f.conj
-        gram = self.gram()
-        conj_gram = Matrix(f, [[conj(x) for x in row] for row in gram.rows])
-        try:
-            ginv = conj_gram.inverse()
-        except ValueError:
-            raise DegenerateSubspaceError(
-                "projection onto a degenerate subspace"
-            ) from None
-        bt = Matrix(f, self.rows).transpose()
-        bconj = Matrix(f, [[conj(x) for x in row] for row in self.rows])
-        return bt @ ginv @ bconj
 
     def coordinates_of(self, v):
         """Coefficients c with sum c_r basis_r = v, or None if v outside."""

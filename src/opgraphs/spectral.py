@@ -4,7 +4,16 @@ A class is fixed by a signature: distinct eigenvalues a_i from the fixed
 subfield and eigenspace dimensions n_i.  An operator in the class is the
 same data as its eigen-flag, an ordered tuple of mutually orthogonal
 nondegenerate subspaces X_i with dim X_i = n_i spanning the ambient
-space; the matrix is sum a_i P_{X_i}.
+space; the matrix is sum a_i P_{X_i}.  Those projections sum to I, so
+for any slot k the matrix is also
+
+  a_k I + sum_{i != k} (a_i - a_k) P_{X_i},
+
+which `EigenFlag.matrix` assembles with k the slot of eigenvalue zero
+if there is one, else the widest.  Skipping P_{X_k} is sound for every
+flag that reaches it: flags built with `check=True` are validated, and
+the others come from the certified orbit walk (`enumerate_class`) or
+from `contract`, whose merged slot is the sum of two orthogonal slots.
 
 Two operators A, B in one class are adjacent when
 
@@ -22,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, Subspace, is_invariant, rank_of_rows,
-                     relative_orthocomplement)
+from .linalg import (DegenerateSubspaceError, Matrix, Subspace, is_invariant,
+                     rank_of_rows, relative_orthocomplement)
 
 
 class NotInClassError(ValueError):
@@ -145,12 +154,49 @@ class EigenFlag:
             raise NotInClassError("eigenspaces must span the ambient space")
 
     def matrix(self) -> Matrix:
+        """The operator a_k I + sum_{i != k} (a_i - a_k) P_{X_i}.
+
+        k is the slot of eigenvalue zero if there is one, else the
+        widest.  P_X = B^T conj(G)^-1 conj(B) for the basis rows B of X
+        and their Gram matrix G.  Each slot's term B^T W, with
+        W = (a_i - a_k) conj(G)^-1 conj(B), is added into one list of
+        rows that starts as a_k I, one dot product per entry.  A
+        singular Gram raises `DegenerateSubspaceError`.
+        """
         if self._matrix is None:
-            f = self.signature.field
-            acc = Matrix.zero(f, self.signature.ambient)
-            for a, X in zip(self.signature.sigma, self.spaces):
-                acc = acc + X.projection().scale(a)
-            self._matrix = acc
+            sig = self.signature
+            f = sig.field
+            zero, add, mul, dot, herm = f.zero, f.add, f.mul, f.dot, f.herm
+            if zero in sig.sigma:
+                k = sig.sigma.index(zero)
+            else:
+                k = max(range(sig.k), key=sig.dims.__getitem__)
+            a_k = sig.sigma[k]
+            n = sig.ambient
+            rows = [[a_k if r == c else zero for c in range(n)]
+                    for r in range(n)]
+            for i, (a, X) in enumerate(zip(sig.sigma, self.spaces)):
+                if i == k:
+                    continue
+                # conj(G)[s][t] = conj(h(b_s, b_t)) = h(b_t, b_s)
+                conj_gram = Matrix(f, [[herm(v, u) for v in X.rows]
+                                       for u in X.rows])
+                try:
+                    ginv = conj_gram.inverse()
+                except ValueError:
+                    raise DegenerateSubspaceError(
+                        "projection onto a degenerate subspace") from None
+                c = f.sub(a, a_k)
+                cols = list(zip(*X.rows))
+                w = []
+                for g in ginv.rows:
+                    g = [mul(c, x) for x in g]
+                    w.append([herm(g, col) for col in cols])
+                w_cols = list(zip(*w))
+                for u, row in zip(cols, rows):
+                    for t, v in enumerate(w_cols):
+                        row[t] = add(row[t], dot(u, v))
+            self._matrix = Matrix(f, rows)
         return self._matrix
 
     def key(self):

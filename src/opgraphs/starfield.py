@@ -5,7 +5,9 @@ Two backends are provided:
 * ``QI``, the Gaussian rationals: a scalar is an int triple
   ``(re, im, den)`` standing for ``(re + im*i)/den``, kept canonical
   (``den > 0``, ``gcd(re, im, den) == 1``) so that equal scalars are
-  equal tuples.  Each operation is a few integer products and one gcd;
+  equal tuples.  Each operation is a few integer products and one gcd,
+  and ``dot`` and ``herm`` sum a whole vector product on one common
+  denominator before their one gcd;
   ``fractions.Fraction`` appears only at the boundary (``scalar``,
   ``real``, ``imag``, JSON and ``format``).  Conjugation is
   ``a+bi -> a-bi`` and the fixed subfield is QQ.
@@ -15,7 +17,7 @@ Two backends are provided:
   (little endian), reduced modulo a fixed irreducible polynomial.  The
   modulus is chosen deterministically (smallest by base-p encoding) and
   exposed via ``descriptor()`` so runs are reproducible; arithmetic is
-  table driven.
+  table driven, and ``dot`` and ``herm`` index the tables inline.
 
 Scalars are plain immutable values (tuples resp. ints): they hash,
 compare and serialize cheaply, and the field object supplies all
@@ -99,6 +101,39 @@ class GaussianRationals:
         a, b, d = x
         c, e, f = y
         return _reduced(a * c - b * e, a * e + b * c, d * f)
+
+    def dot(self, xs, ys):
+        """sum x_k y_k, summed on one common denominator and reduced once."""
+        re = im = 0
+        den = 1
+        for (a, b, d), (c, e, f) in zip(xs, ys):
+            if (a or b) and (c or e):
+                g = d * f
+                if g == den:
+                    re += a * c - b * e
+                    im += a * e + b * c
+                else:
+                    re = re * g + (a * c - b * e) * den
+                    im = im * g + (a * e + b * c) * den
+                    den *= g
+        return _reduced(re, im, den)
+
+    def herm(self, xs, ys):
+        """sum x_k conj(y_k), summed on one common denominator and
+        reduced once."""
+        re = im = 0
+        den = 1
+        for (a, b, d), (c, e, f) in zip(xs, ys):
+            if (a or b) and (c or e):
+                g = d * f
+                if g == den:
+                    re += a * c + b * e
+                    im += b * c - a * e
+                else:
+                    re = re * g + (a * c + b * e) * den
+                    im = im * g + (b * c - a * e) * den
+                    den *= g
+        return _reduced(re, im, den)
 
     def inv(self, x):
         a, b, d = x
@@ -337,6 +372,22 @@ class GaloisStarField:
 
     def mul(self, x, y):
         return self.MUL[x][y]
+
+    def dot(self, xs, ys):
+        """sum x_k y_k."""
+        ADD, MUL = self.ADD, self.MUL
+        acc = 0
+        for x, y in zip(xs, ys):
+            acc = ADD[acc][MUL[x][y]]
+        return acc
+
+    def herm(self, xs, ys):
+        """sum x_k conj(y_k)."""
+        ADD, MUL, CONJ = self.ADD, self.MUL, self.CONJ
+        acc = 0
+        for x, y in zip(xs, ys):
+            acc = ADD[acc][MUL[x][CONJ[y]]]
+        return acc
 
     def inv(self, x):
         if x == 0:

@@ -11,6 +11,10 @@ paths (the point ids of `constructions.projective_points`,
 `constructions.slot_hyperplanes`, `constructions.orbit_class` and the
 point permutations) are checked against them, and `permute_slots`
 relabels a flag's slots for `constructions.slot_permutation_vertex_map`.
+`projection` builds P_X = B^T conj(G)^-1 conj(B) from products of whole
+matrices (with `transpose`), and `operator` sums a_i P_{X_i} over every
+slot: the oracle of `EigenFlag.matrix`, which skips one slot's
+projection and works on dot products.
 `key_index` finds a class graph's vertices by their flags' rref keys,
 apart from the point forms the graph is keyed by.
 
@@ -32,8 +36,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from opgraphs.graphs import SimpleGraph
-from opgraphs.linalg import (Matrix, Subspace, herm_form,
-                             relative_orthocomplement)
+from opgraphs.linalg import (DegenerateSubspaceError, Matrix, Subspace,
+                             herm_form, relative_orthocomplement)
 from opgraphs.spectral import ADJACENT, RANK_OTHER, EigenFlag, pair_verdict
 
 
@@ -140,6 +144,38 @@ def permute_slots(flag, delta):
     return EigenFlag(flag.signature,
                      [flag.spaces[delta(i)] for i in range(flag.signature.k)],
                      check=False)
+
+
+def transpose(M):
+    return Matrix(M.field, list(zip(*M.rows)))
+
+
+def projection(X):
+    """Orthogonal projection onto X, as a matrix; X must be nondegenerate.
+
+    With basis rows B and Gram G[r][s] = h(b_r, b_s) the projection is
+    P = B^T conj(G)^{-1} conj(B); it is hermitian and idempotent.
+    """
+    f = X.field
+    conj = f.conj
+    conj_gram = Matrix(f, [[conj(x) for x in row] for row in X.gram().rows])
+    try:
+        ginv = conj_gram.inverse()
+    except ValueError:
+        raise DegenerateSubspaceError(
+            "projection onto a degenerate subspace"
+        ) from None
+    bconj = Matrix(f, [[conj(x) for x in row] for row in X.rows])
+    return transpose(Matrix(f, X.rows)) @ ginv @ bconj
+
+
+def operator(flag):
+    """sum a_i P_{X_i} over every slot, projections included."""
+    sig = flag.signature
+    acc = Matrix.zero(sig.field, sig.ambient)
+    for a, X in zip(sig.sigma, flag.spaces):
+        acc = acc + projection(X).scale(a)
+    return acc
 
 
 def norm_one_vectors(field, n):

@@ -390,13 +390,14 @@ def small_groups(draw):
 def test_stabchain_matches_bfs_closure(group):
     n, gens, probes = group
     elements = closure(n, gens)
-    # closed one generator at a time, the chain grows exactly when the
-    # generator lies outside the group of the ones before it
+    # closed one generator at a time, the chain has the order of the
+    # group of the generators so far, short of the final known order
     plain = StabChain(n)
     stopped = StabChain(n, known_order=len(elements))
     for k, g in enumerate(gens):
-        outside = g not in closure(n, gens[:k])
-        assert plain.close([g]) == stopped.close([g]) == outside
+        plain.close([g])
+        stopped.close([g])
+        assert plain.order() == stopped.order() == len(closure(n, gens[:k + 1]))
     # the known-order closure stops at the true order; at twice the true
     # order, or without one, it checks every Schreier generator and
     # leaves the exact order
@@ -404,7 +405,7 @@ def test_stabchain_matches_bfs_closure(group):
     unreached = StabChain(n, known_order=2 * len(elements))
     whole = StabChain(n)
     for chain in (known, unreached, whole):
-        assert chain.close(gens) == (len(elements) > 1)
+        chain.close(gens)
     assert plain.order() == stopped.order() == len(elements)
     assert known.order() == unreached.order() == whole.order() == len(elements)
     again = StabChain(n, known_order=len(elements))
@@ -418,6 +419,10 @@ def test_stabchain_matches_bfs_closure(group):
             for x, t in tr.items():
                 assert t[x] == chain.base[l]
                 assert all(t[b] == b for b in chain.base[:l])
+        if chain.base:
+            # level 0 holds the base point's whole orbit under the group
+            assert set(chain.orbits[0]) == {g[chain.base[0]] for g in elements}
+        assert chain.order() == prod(map(len, chain.orbits))
         assert all(chain_contains(chain, g) for g in elements)
         for p in probes:
             assert chain_contains(chain, p) == (p in elements)

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from opgraphs.constructions import tilts
-from opgraphs.linalg import Matrix, Subspace
+from opgraphs.linalg import DegenerateSubspaceError, Matrix, Subspace
 from opgraphs.sampling import random_flag
 from opgraphs.spectral import (
     ClassSignature,
@@ -19,13 +19,14 @@ from opgraphs.spectral import (
     contract,
     coordinate_flag,
     difference_rows,
+    enumerate_class,
     flag_from_matrix,
     invariance_condition,
     rank_condition,
 )
 from opgraphs.starfield import QI, galois_field
 from tests.conftest import diag, signature
-from tests.oracles import permute_slots, subspaces
+from tests.oracles import operator, permute_slots, projection, subspaces
 
 
 def qi(re, im=0):
@@ -138,6 +139,37 @@ def test_flags_validate_membership():
     iso = next(s for s in subspaces(f9, 3, 1) if not s.is_nondegenerate())
     with pytest.raises(NotInClassError):
         EigenFlag(f9sig, (iso, iso.orthocomplement()))
+    # unvalidated, the skipped kernel slot hides no degenerate slot: the
+    # other one contains the isotropic line too
+    with pytest.raises(DegenerateSubspaceError):
+        EigenFlag(f9sig, (iso, iso.orthocomplement()), check=False).matrix()
+
+
+@pytest.mark.parametrize("p,sigma,dims", [
+    (3, ("0", "1", "2"), (1, 1, 1)),
+    (2, ("0", "1"), (2, 2)),
+    (2, ("0", "1"), (1, 3)),
+], ids=["flagship", "GF(4)^4 2,2", "GF(4)^4 1,3"])
+def test_matrix_is_the_projection_sum_on_finite_classes(p, sigma, dims):
+    for f in enumerate_class(signature(galois_field(p, 1), sigma, dims)):
+        assert f.matrix() == operator(f)
+
+
+@pytest.mark.parametrize("sigma,dims", [
+    (("0", "1", "2"), (2, 1, 1)),
+    (("1", "2", "3"), (2, 1, 1)),
+    (("0", "1", "2"), (1, 2, 2)),
+    (("1", "0", "-2"), (1, 2, 2)),
+    (("1", "-1/2", "3"), (1, 2, 2)),
+    (("2", "5"), (1, 2)),
+])
+def test_matrix_is_the_projection_sum_over_the_rationals(sigma, dims):
+    # with a zero eigenvalue its slot is skipped, else the widest slot
+    sig = signature(QI, sigma, dims)
+    rng = random.Random(47)
+    for _ in range(6):
+        f = random_flag(sig, rng)
+        assert f.matrix() == operator(f)
 
 
 def test_signature_validation():
@@ -174,7 +206,7 @@ def test_contract_operator_identity():
     assert t.signature.dims == (2, 1)
     assert t.matrix() == diag(QI, [qi(2), qi(2), qi(3)])
     # matrix(A) = matrix(T) + (a_0 - a_1) P_{X_0}
-    p = A.spaces[0].projection()
+    p = projection(A.spaces[0])
     assert A.matrix() == t.matrix() + p.scale(qi(-1))
     rng = random.Random(41)
     for _ in range(6):
@@ -182,7 +214,7 @@ def test_contract_operator_identity():
         for i, j in ((0, 1), (1, 0), (1, 2), (2, 0)):
             t = contract(f, i, j)
             diff = QI.sub(DIAG123.sigma[i], DIAG123.sigma[j])
-            p = f.spaces[i].projection()
+            p = projection(f.spaces[i])
             assert f.matrix() == t.matrix() + p.scale(diff)
 
 

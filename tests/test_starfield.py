@@ -49,6 +49,27 @@ def test_field_axioms(name):
 
 
 @pytest.mark.parametrize("name", ["qi", "f9", "f16"])
+def test_dot_and_herm_are_the_term_sums(name):
+    field, scalars = field_and_scalars(name)
+    entries = st.one_of(st.just(field.zero), scalars)
+    vector_pairs = st.integers(0, 6).flatmap(lambda n: st.tuples(
+        st.lists(entries, min_size=n, max_size=n),
+        st.lists(entries, min_size=n, max_size=n)))
+
+    @given(vector_pairs)
+    def run(pair):
+        xs, ys = pair
+        dot = herm = field.zero
+        for x, y in zip(xs, ys):
+            dot = field.add(dot, field.mul(x, y))
+            herm = field.add(herm, field.mul(x, field.conj(y)))
+        assert field.dot(xs, ys) == dot
+        assert field.herm(xs, ys) == herm
+
+    run()
+
+
+@pytest.mark.parametrize("name", ["qi", "f9", "f16"])
 def test_involution(name):
     field, scalars = field_and_scalars(name)
 
